@@ -1,12 +1,12 @@
 /**
  * @file
  * Micro benchmark of the simulation-engine hot path: events per
- * second for (a) the seed architecture (binary-heap event queue, a
- * full proc scan per contention re-solve, an allocating solver) and
- * (b) the scaled architecture (calendar queue, struct-of-arrays
- * state, node-local re-solves) across a node sweep — the recorded
- * artifact behind the DESIGN.md §7 claim that the scaled engine runs
- * 10k-node clusters in seconds.
+ * second for (a) the seed re-solve (a full proc scan per contention
+ * re-solve, an allocating solver) and (b) the scaled re-solve
+ * (struct-of-arrays state, node-local re-solves) across a node sweep
+ * — the recorded artifact behind the DESIGN.md §7 claim that the
+ * scaled engine runs 10k-node clusters in seconds. Both modes share
+ * the one event queue, so the ratio measures the re-solve alone.
  *
  * The scenario is churn-heavy to stress the re-solve path: every node
  * hosts `--tenants` single-proc tenants, every proc executes

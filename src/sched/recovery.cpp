@@ -1,15 +1,13 @@
 /**
  * @file
- * placement::recover_after_crash, reimplemented as a thin client of
- * sched::SchedulerCore (adoption mode). The duplicate greedy-repair
- * loop that used to live in src/placement/recovery.cpp is gone: the
- * batch recovery entry point and the event-driven scheduler's crash
- * handling now share one repair implementation, and the locked
- * behavior (move order, tie breaks, error messages, determinism) is
- * pinned by tests/test_fault.cpp.
+ * recover_after_crash as a thin client of SchedulerCore (adoption
+ * mode): the batch recovery entry point and the event-driven
+ * scheduler's crash handling share one repair implementation, and
+ * the locked behavior (move order, tie breaks, error messages,
+ * determinism) is pinned by tests/test_fault.cpp.
  */
 
-#include "placement/recovery.hpp"
+#include "sched/recovery.hpp"
 
 #include <string>
 #include <utility>
@@ -20,14 +18,15 @@
 #include "common/obs.hpp"
 #include "sched/scheduler.hpp"
 
-namespace imc::placement {
+namespace imc::sched {
 
 RecoveryResult
-recover_after_crash(const Placement& placement,
+recover_after_crash(const placement::Placement& placement,
                     const std::vector<sim::NodeId>& dead,
-                    const Evaluator& evaluator, Goal goal,
-                    std::optional<QosConstraint> qos,
-                    const AnnealOptions& opts)
+                    const placement::Evaluator& evaluator,
+                    placement::Goal goal,
+                    std::optional<placement::QosConstraint> qos,
+                    const placement::AnnealOptions& opts)
 {
     IMC_OBS_SPAN(span, "placement.recover");
     const int num_nodes = placement.num_nodes();
@@ -44,14 +43,14 @@ recover_after_crash(const Placement& placement,
     // Adoption-mode core: no admission, no eviction, no polish — mark
     // every dead node first, then one global greedy repair pass (the
     // (instance, unit)-ordered, least-loaded-survivor move sequence).
-    sched::SchedOptions sopts;
+    SchedOptions sopts;
     sopts.allow_eviction = false;
     sopts.polish_proposals = 0;
-    sched::SchedulerCore core(evaluator, placement, sopts);
+    SchedulerCore core(evaluator, placement, sopts);
     for (const sim::NodeId node : dead)
         core.mark_dead(node);
     const int moved = core.repair_displaced();
-    Placement repaired = core.placement();
+    placement::Placement repaired = core.placement();
     invariant(repaired.valid(),
               "recover_after_crash: greedy repair left an invalid "
               "placement");
@@ -74,8 +73,9 @@ recover_after_crash(const Placement& placement,
 
     // Annealer polish (swap-only proposals never resurrect a dead
     // node: no unit sits on one).
-    const AnnealResult annealed =
-        anneal(std::move(repaired), evaluator, goal, qos, opts);
+    const placement::AnnealResult annealed =
+        placement::anneal(std::move(repaired), evaluator, goal, qos,
+                          opts);
     return RecoveryResult{annealed.placement, annealed.total_time,
                           annealed.qos_met, moved};
 }
@@ -95,4 +95,4 @@ scheduled_crashes(const std::string& scenario, int num_nodes)
     return doomed;
 }
 
-} // namespace imc::placement
+} // namespace imc::sched

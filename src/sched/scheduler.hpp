@@ -10,7 +10,7 @@
  * anneal: app arrivals are admitted against node capacity and placed
  * greedily through the DeltaScorer's exact marginal costs, departures
  * free their nodes, node crashes trigger the greedy repair that
- * placement::recover_after_crash exposes for the batch pipeline (that
+ * recover_after_crash exposes for the batch pipeline (that
  * entry point is now a thin client of this class), and node joins
  * revive capacity. After every placement-changing event a *bounded*
  * re-optimization polishes the dirty neighborhood: a fixed number of
@@ -105,7 +105,7 @@ class SchedulerCore {
 
     /**
      * Adopt an existing placement (adoption mode): used by
-     * placement::recover_after_crash to run crash repair over a batch
+     * recover_after_crash to run crash repair over a batch
      * placement. arrive()/depart() and eviction are unavailable (the
      * evaluator is const and its app list fixed); mark_dead() +
      * repair_displaced() are the supported operations.

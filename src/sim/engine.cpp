@@ -8,20 +8,8 @@
 
 namespace imc::sim {
 
-namespace {
-
-std::unique_ptr<EventQueueBase>
-make_queue(EngineMode mode)
-{
-    if (mode == EngineMode::kSeed)
-        return std::make_unique<HeapEventQueue>();
-    return std::make_unique<EventQueue>();
-}
-
-} // namespace
-
 Simulation::Simulation(ClusterSpec spec, SimOptions opts)
-    : spec_(std::move(spec)), opts_(opts), queue_(make_queue(opts.mode))
+    : spec_(std::move(spec)), opts_(opts)
 {
     require(spec_.num_nodes > 0, "Simulation: cluster needs >= 1 node");
     const auto n = static_cast<std::size_t>(spec_.num_nodes);
@@ -35,13 +23,13 @@ EventId
 Simulation::schedule(double dt, Callback cb)
 {
     require(dt >= 0.0, "Simulation::schedule: negative delay");
-    return queue_->schedule_at(now() + dt, std::move(cb));
+    return queue_.schedule_at(now() + dt, std::move(cb));
 }
 
 void
 Simulation::cancel(EventId id)
 {
-    queue_->cancel(id);
+    queue_.cancel(id);
 }
 
 TenantId
@@ -180,7 +168,7 @@ Simulation::abort_proc(ProcId pid)
     // accounting, cancel the completion, drop the callback — the
     // in-flight work is abandoned, not finished.
     settle(pi);
-    queue_->cancel(proc_event_[pi]);
+    queue_.cancel(proc_event_[pi]);
     proc_busy_[pi] = 0;
     proc_remaining_[pi] = 0.0;
     proc_done_[pi] = nullptr;
@@ -244,7 +232,7 @@ Simulation::crash_node(NodeId node)
         if (!proc_busy_[pi])
             continue;
         settle(pi);
-        queue_->cancel(proc_event_[pi]);
+        queue_.cancel(proc_event_[pi]);
         proc_busy_[pi] = 0;
         proc_remaining_[pi] = 0.0;
         proc_done_[pi] = nullptr;
@@ -269,18 +257,18 @@ Simulation::node_crashed(NodeId node) const
 void
 Simulation::run(std::uint64_t max_events)
 {
-    const std::uint64_t start = queue_->executed();
+    const std::uint64_t start = queue_.executed();
     const SimStats stats_before = stats_;
     (void)stats_before; // consumed only by the obs block below
-    while (queue_->pop_and_run()) {
-        invariant(queue_->executed() - start <= max_events,
+    while (queue_.pop_and_run()) {
+        invariant(queue_.executed() - start <= max_events,
                   "Simulation::run: event budget exceeded (runaway?)");
     }
     // Aggregate deltas once per run() — the per-event loop above stays
     // untouched so the hot path costs nothing when obs is off.
     if (IMC_OBS_ENABLED()) {
         IMC_OBS_COUNT("sim.runs");
-        IMC_OBS_COUNT("sim.events", queue_->executed() - start);
+        IMC_OBS_COUNT("sim.events", queue_.executed() - start);
         IMC_OBS_COUNT("sim.contention_solves",
                    static_cast<std::uint64_t>(
                        stats_.contention_solves -
@@ -298,7 +286,7 @@ Simulation::run(std::uint64_t max_events)
 bool
 Simulation::step()
 {
-    return queue_->pop_and_run();
+    return queue_.pop_and_run();
 }
 
 void
@@ -400,7 +388,7 @@ Simulation::reschedule_proc(std::size_t pid, double slowdown)
 {
     settle(pid);
     proc_rate_[pid] = 1.0 / slowdown;
-    queue_->cancel(proc_event_[pid]);
+    queue_.cancel(proc_event_[pid]);
     ++stats_.proc_reschedules;
     schedule_completion(static_cast<ProcId>(pid));
 }
@@ -434,7 +422,7 @@ Simulation::complete(ProcId pid)
 std::size_t
 Simulation::approx_bytes() const
 {
-    std::size_t bytes = queue_->approx_bytes() + solver_.approx_bytes();
+    std::size_t bytes = queue_.approx_bytes() + solver_.approx_bytes();
     bytes += crashed_.capacity() * sizeof(char);
     bytes += node_dirty_.capacity() * sizeof(char);
     bytes += dirty_nodes_.capacity() * sizeof(NodeId);

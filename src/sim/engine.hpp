@@ -21,17 +21,16 @@
  * node-local. Tenant and proc state live in struct-of-arrays so a
  * re-solve streams over contiguous memory; per-node tenant and proc
  * index lists make each re-solve O(node population) instead of
- * O(cluster); the calendar event queue keeps push/pop amortized O(1);
- * and a resolve *batch* (ResolveBatch) coalesces many mutations into
- * one re-solve per dirtied node. EngineMode::kSeed preserves the
- * original architecture (binary-heap queue, full proc scan per
- * re-solve, allocating solver) as the equivalence oracle and the
- * baseline bench/micro_scale measures against — both modes are
- * event-for-event identical (tests/test_scale.cpp).
+ * O(cluster); the indexed event queue makes schedule, cancel and pop
+ * O(log n) with no hashing; and a resolve *batch* (ResolveBatch)
+ * coalesces many mutations into one re-solve per dirtied node.
+ * EngineMode::kSeed keeps the original re-solve (full proc scan,
+ * allocating solver) on the same queue, as the equivalence oracle
+ * and the baseline bench/micro_scale measures against — both modes
+ * are event-for-event identical (tests/test_scale.cpp).
  */
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "sim/cluster.hpp"
@@ -55,14 +54,17 @@ struct SimStats {
     std::uint64_t batched_resolves = 0;
 };
 
-/** Which engine architecture a Simulation runs. */
+/**
+ * Which contention re-solve a Simulation runs. Both modes share the
+ * one event queue; they differ only in the re-solve.
+ */
 enum class EngineMode {
-    /** Calendar queue + SoA state + node-local re-solves (default). */
+    /** SoA state + node-local, non-allocating re-solves (default). */
     kScaled,
     /**
-     * The seed architecture: binary-heap queue, a full scan of every
-     * proc per re-solve, and a fresh allocation per solve. Kept as
-     * the equivalence oracle and the micro_scale baseline.
+     * The seed re-solve: a full scan of every proc per re-solve and a
+     * fresh allocation per solve. Kept as the equivalence oracle and
+     * the micro_scale baseline.
      */
     kSeed,
 };
@@ -88,11 +90,11 @@ class Simulation {
     /** The cluster configuration this simulation runs. */
     const ClusterSpec& spec() const { return spec_; }
 
-    /** The engine architecture this simulation runs. */
+    /** The re-solve mode this simulation runs. */
     EngineMode mode() const { return opts_.mode; }
 
     /** Current simulation time in seconds. */
-    double now() const { return queue_->now(); }
+    double now() const { return queue_.now(); }
 
     /**
      * Schedule a callback after a relative delay.
@@ -201,8 +203,8 @@ class Simulation {
      * callback is dropped — the in-flight work is lost), every tenant
      * on the node is removed, and the node refuses new tenants from
      * then on. Survivors on other nodes are untouched; re-placing the
-     * lost units is the placement layer's job
-     * (placement::recover_after_crash). Crashing a node twice is a
+     * lost units is the scheduler layer's job
+     * (sched::recover_after_crash). Crashing a node twice is a
      * no-op; this may be called from inside a scheduled event (a
      * mid-run crash) or between runs.
      */
@@ -224,7 +226,7 @@ class Simulation {
     bool step();
 
     /** Total events executed so far. */
-    std::uint64_t events_executed() const { return queue_->executed(); }
+    std::uint64_t events_executed() const { return queue_.executed(); }
 
     /** Engine activity counters. */
     const SimStats& stats() const { return stats_; }
@@ -263,7 +265,7 @@ class Simulation {
 
     ClusterSpec spec_;
     SimOptions opts_;
-    std::unique_ptr<EventQueueBase> queue_;
+    EventQueue queue_;
     SimStats stats_;
     ContentionSolver solver_; // reusable SoA scratch (scaled mode)
 

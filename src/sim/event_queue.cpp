@@ -1,7 +1,6 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <utility>
 
@@ -11,272 +10,136 @@ namespace imc::sim {
 
 namespace {
 
-/** Smallest wheel; also the size the queue starts at. */
-constexpr std::size_t kMinBuckets = 8;
+/** Children per heap node: half the depth of a binary heap, and the
+ *  siblings a sift-down compares sit next to each other in memory. */
+constexpr std::size_t kArity = 4;
 
-/**
- * Bucket keys are clamped here. Events beyond the clamp share one
- * far bucket and still fire in correct (time, seq) order — the
- * direct-scan fallback orders by time, not key — the wheel just
- * stops helping for them.
- */
-constexpr double kMaxKey = 4.0e18;
-
-/** Next power of two >= @p n, at least kMinBuckets. */
-std::size_t
-next_pow2(std::size_t n)
+/** Strict (time, seq) order; seq is unique, so the order is total.
+ *  (A template because the heap's Node type is private.) */
+template <typename Node>
+bool
+before(const Node& a, const Node& b)
 {
-    std::size_t p = kMinBuckets;
-    while (p < n)
-        p *= 2;
-    return p;
+    return a.time < b.time || (a.time == b.time && a.seq < b.seq);
 }
 
 } // namespace
 
-// ---------------------------------------------------------------------
-// EventQueueBase: shared scheduling / cancellation / run semantics.
-// ---------------------------------------------------------------------
-
 EventId
-EventQueueBase::schedule_at(double time, Callback cb)
+EventQueue::schedule_at(double time, Callback cb)
 {
     require(time >= now_ - 1e-12,
             "EventQueue: cannot schedule into the past");
     require(static_cast<bool>(cb), "EventQueue: null callback");
-    const EventId id = next_id_++;
-    live_.emplace(id, LiveEvent{std::move(cb), time});
-    push_entry(Entry{time, next_seq_++, id});
-    return id;
+    std::uint32_t s = 0;
+    if (free_.empty()) {
+        invariant(slots_.size() < std::numeric_limits<std::uint32_t>::max(),
+                  "EventQueue: slot space exhausted");
+        s = static_cast<std::uint32_t>(slots_.size());
+        slots_.emplace_back();
+    } else {
+        s = free_.back();
+        free_.pop_back();
+    }
+    slots_[s].cb = std::move(cb);
+    heap_.emplace_back(); // the hole sift_up starts from
+    sift_up(heap_.size() - 1, Node{time, next_seq_++, s});
+    return (static_cast<EventId>(slots_[s].gen) << 32) | s;
 }
 
 void
-EventQueueBase::cancel(EventId id)
+EventQueue::cancel(EventId id)
 {
-    const auto it = live_.find(id);
-    if (it == live_.end())
+    const auto s = static_cast<std::uint32_t>(id);
+    if (s >= slots_.size() || slots_[s].gen != (id >> 32))
         return; // already fired or cancelled: harmless no-op
-    erase_entry(id, it->second.time);
-    live_.erase(it);
-}
-
-void
-EventQueueBase::erase_entry(EventId, double)
-{
-    // Default: leave a tombstone for pop_min to skip.
+    take_at(slots_[s].pos);
 }
 
 bool
-EventQueueBase::pop_and_run()
+EventQueue::pop_and_run()
 {
-    if (live_.empty())
+    if (heap_.empty())
         return false;
-    const Entry e = pop_min();
-    const auto it = live_.find(e.id);
-    invariant(it != live_.end(), "EventQueue: pop_min returned a dead entry");
-    Callback cb = std::move(it->second.cb);
-    live_.erase(it);
-    invariant(e.time >= now_ - 1e-12, "EventQueue: time went backwards");
-    now_ = std::max(now_, e.time);
+    const double time = heap_.front().time;
+    Callback cb = take_at(0);
+    invariant(time >= now_ - 1e-12, "EventQueue: time went backwards");
+    now_ = std::max(now_, time);
     ++executed_;
     cb();
     return true;
 }
 
-// ---------------------------------------------------------------------
-// EventQueue: the calendar queue.
-// ---------------------------------------------------------------------
-
-EventQueue::EventQueue() : buckets_(kMinBuckets), mask_(kMinBuckets - 1)
-{
-}
-
-std::uint64_t
-EventQueue::key_of(double time) const
-{
-    const double q = time / width_;
-    if (!(q > 0.0))
-        return 0; // negative epsilon near t=0
-    if (q >= kMaxKey)
-        return static_cast<std::uint64_t>(kMaxKey);
-    return static_cast<std::uint64_t>(q);
-}
-
-void
-EventQueue::push_entry(const Entry& e)
-{
-    // Grow when the live population outruns the wheel; rebuilding
-    // also re-tunes the width to the new density.
-    if (live_.size() > 2 * buckets_.size())
-        rebuild(next_pow2(live_.size()));
-
-    const std::uint64_t key = key_of(e.time);
-    buckets_[static_cast<std::size_t>(key) & mask_].push_back(
-        Slot{e.time, e.seq, e.id, key});
-    // An arrival behind the cursor (possible right after the cursor
-    // jumped forward via pop_direct) re-aims it; schedule_at already
-    // guarantees e.time >= now(), so nothing due is ever skipped.
-    if (key < cur_key_)
-        cur_key_ = key;
-}
-
-void
-EventQueue::erase_entry(EventId id, double time)
-{
-    // key_of(time) recomputes the stored key exactly: rebuilds re-key
-    // every slot at the current width, so slot.key is always
-    // key_of(slot.time) under the live width.
-    const std::uint64_t key = key_of(time);
-    auto& bucket = buckets_[static_cast<std::size_t>(key) & mask_];
-    for (std::size_t i = 0; i < bucket.size(); ++i) {
-        if (bucket[i].id != id)
-            continue;
-        bucket[i] = bucket.back();
-        bucket.pop_back();
-        return;
-    }
-    invariant(false, "EventQueue: cancelled entry missing from wheel");
-}
-
-EventQueueBase::Entry
-EventQueue::pop_min()
-{
-    // Shrink lazily, amortized against pops, once the wheel has gone
-    // an order of magnitude sparser than its bucket count.
-    if (buckets_.size() > kMinBuckets &&
-        live_.size() * 8 < buckets_.size())
-        rebuild(next_pow2(live_.size()));
-
-    // Walk the wheel at most one full lap from the cursor. Every
-    // stored slot is live (cancel erases eagerly), so this touches
-    // only real events.
-    for (std::size_t lap = 0; lap <= mask_; ++lap) {
-        auto& bucket = buckets_[static_cast<std::size_t>(cur_key_) & mask_];
-        std::size_t best = bucket.size();
-        for (std::size_t i = 0; i < bucket.size(); ++i) {
-            if (bucket[i].key != cur_key_)
-                continue; // same bucket, a later lap of the wheel
-            if (best == bucket.size() ||
-                bucket[i].time < bucket[best].time ||
-                (bucket[i].time == bucket[best].time &&
-                 bucket[i].seq < bucket[best].seq))
-                best = i;
-        }
-        if (best != bucket.size()) {
-            const Entry out{bucket[best].time, bucket[best].seq,
-                            bucket[best].id};
-            bucket[best] = bucket.back();
-            bucket.pop_back();
-            return out;
-        }
-        ++cur_key_; // this key's window is empty: advance the cursor
-    }
-    // A whole lap was empty: the next event is over a wheel-span
-    // away (or sits in the clamped far bucket). Find it directly.
-    return pop_direct();
-}
-
-EventQueueBase::Entry
-EventQueue::pop_direct()
-{
-    const Slot* min = nullptr;
-    for (const auto& bucket : buckets_) {
-        for (const Slot& s : bucket) {
-            if (min == nullptr || s.time < min->time ||
-                (s.time == min->time && s.seq < min->seq))
-                min = &s;
-        }
-    }
-    invariant(min != nullptr, "EventQueue: live set and wheel disagree");
-    const Entry out{min->time, min->seq, min->id};
-    cur_key_ = min->key; // re-aim: neighbours of the min are near it
-    auto& bucket = buckets_[static_cast<std::size_t>(min->key) & mask_];
-    const auto idx = static_cast<std::size_t>(min - bucket.data());
-    bucket[idx] = bucket.back();
-    bucket.pop_back();
-    return out;
-}
-
-void
-EventQueue::rebuild(std::size_t nbuckets)
-{
-    ++rebuilds_;
-    std::vector<Slot> alive;
-    alive.reserve(live_.size());
-    double lo = std::numeric_limits<double>::infinity();
-    double hi = -std::numeric_limits<double>::infinity();
-    for (auto& bucket : buckets_) {
-        for (const Slot& s : bucket) {
-            alive.push_back(s);
-            lo = std::min(lo, s.time);
-            hi = std::max(hi, s.time);
-        }
-    }
-
-    // Width ~ live span / live count puts about one event per bucket.
-    // The floor keeps bucket keys small enough to stay exact in a
-    // double and clear of the clamp even for large absolute times.
-    double width = 1.0;
-    if (alive.size() >= 2 && hi > lo)
-        width = (hi - lo) / static_cast<double>(alive.size());
-    width = std::max(width, std::max(std::fabs(hi), 1.0) * 1e-9);
-    width_ = width;
-
-    buckets_.assign(nbuckets, {});
-    mask_ = nbuckets - 1;
-    cur_key_ = alive.empty() ? key_of(now()) : key_of(lo);
-    for (Slot& s : alive) {
-        s.key = key_of(s.time);
-        buckets_[static_cast<std::size_t>(s.key) & mask_].push_back(s);
-    }
-}
-
 std::size_t
 EventQueue::approx_bytes() const
 {
-    std::size_t bytes = buckets_.capacity() * sizeof(buckets_.front());
-    for (const auto& bucket : buckets_)
-        bytes += bucket.capacity() * sizeof(Slot);
-    // The live_ map: one node (entry + hash link) per element plus
-    // the bucket array, estimated at libstdc++'s layout.
-    bytes += live_.size() *
-             (sizeof(std::pair<EventId, LiveEvent>) + 2 * sizeof(void*));
-    bytes += live_.bucket_count() * sizeof(void*);
-    return bytes;
+    return heap_.capacity() * sizeof(Node) +
+           slots_.capacity() * sizeof(Slot) +
+           free_.capacity() * sizeof(std::uint32_t);
 }
-
-// ---------------------------------------------------------------------
-// HeapEventQueue: the seed binary heap.
-// ---------------------------------------------------------------------
 
 void
-HeapEventQueue::push_entry(const Entry& e)
+EventQueue::place(std::size_t i, const Node& n)
 {
-    heap_.push(HeapEntry{e.time, e.seq, e.id});
+    heap_[i] = n;
+    slots_[n.slot].pos = static_cast<std::uint32_t>(i);
 }
 
-EventQueueBase::Entry
-HeapEventQueue::pop_min()
+void
+EventQueue::sift_up(std::size_t i, Node n)
 {
-    while (!heap_.empty()) {
-        const HeapEntry e = heap_.top();
-        heap_.pop();
-        if (is_live(e.id))
-            return Entry{e.time, e.seq, e.id};
-        // cancelled; skip the tombstone
+    while (i > 0) {
+        const std::size_t parent = (i - 1) / kArity;
+        if (!before(n, heap_[parent]))
+            break;
+        place(i, heap_[parent]);
+        i = parent;
     }
-    invariant(false, "HeapEventQueue: live set and heap disagree");
-    return Entry{}; // unreachable
+    place(i, n);
 }
 
-std::size_t
-HeapEventQueue::approx_bytes() const
+void
+EventQueue::sift_down(std::size_t i, Node n)
 {
-    std::size_t bytes = heap_.size() * sizeof(HeapEntry);
-    bytes += live_.size() *
-             (sizeof(std::pair<EventId, LiveEvent>) + 2 * sizeof(void*));
-    bytes += live_.bucket_count() * sizeof(void*);
-    return bytes;
+    const std::size_t size = heap_.size();
+    for (;;) {
+        const std::size_t first = i * kArity + 1;
+        if (first >= size)
+            break;
+        const std::size_t last = std::min(first + kArity, size);
+        std::size_t best = first;
+        for (std::size_t c = first + 1; c < last; ++c)
+            if (before(heap_[c], heap_[best]))
+                best = c;
+        if (!before(heap_[best], n))
+            break;
+        place(i, heap_[best]);
+        i = best;
+    }
+    place(i, n);
+}
+
+Callback
+EventQueue::take_at(std::size_t i)
+{
+    const std::uint32_t s = heap_[i].slot;
+    Slot& slot = slots_[s];
+    Callback cb = std::exchange(slot.cb, nullptr);
+    if (++slot.gen == 0)
+        slot.gen = 1; // wrapped: keep EventId 0 unissued
+    free_.push_back(s);
+
+    // Refill the hole with the last entry, sifting whichever way its
+    // key demands.
+    const Node moved = heap_.back();
+    heap_.pop_back();
+    if (i < heap_.size()) {
+        if (i > 0 && before(moved, heap_[(i - 1) / kArity]))
+            sift_up(i, moved);
+        else
+            sift_down(i, moved);
+    }
+    return cb;
 }
 
 } // namespace imc::sim

@@ -3,31 +3,17 @@
 
 /**
  * @file
- * Time-ordered event queues for the discrete-event engine.
+ * The time-ordered event queue of the discrete-event engine.
  *
- * Two implementations share one interface and one observable
- * contract — events fire in ascending (time, insertion-seq) order, so
- * ties in time break by insertion order (FIFO), which makes
- * zero-latency chains (barrier releases, task hand-offs) behave
- * deterministically:
- *
- *  - EventQueue: a calendar queue (Brown '88) — an open-hashed wheel
- *    of time buckets whose width self-tunes to the live event density.
- *    schedule/pop are amortized O(1) against the O(log n) of a binary
- *    heap, which is what lets a 10k-node simulation sustain millions
- *    of events without the queue becoming the bottleneck.
- *  - HeapEventQueue: the original binary-heap implementation, kept as
- *    the reference oracle for equivalence tests and as the "seed
- *    queue" baseline of bench/micro_scale.
- *
- * Both queues are deterministic pure functions of their operation
- * sequence: bucket sizing, cancellation, and resizing decide nothing
- * that depends on pointer values, hashes, or wall clock.
+ * Events fire in ascending (time, insertion-seq) order, so ties in
+ * time break by insertion order (FIFO), which makes zero-latency
+ * chains (barrier releases, task hand-offs) behave deterministically.
+ * The keys are unique, so the firing order is a pure function of the
+ * operation sequence: no heap shape, slot reuse or memory layout can
+ * reach it.
  */
 
 #include <cstdint>
-#include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/types.hpp"
@@ -35,19 +21,25 @@
 namespace imc::sim {
 
 /**
- * Common interface and bookkeeping of a cancellable priority queue of
- * timed callbacks. Concrete queues supply only the time index
- * (push_entry / pop_min); scheduling, cancellation, liveness, and
- * execution semantics live here so every implementation shares them
- * exactly.
+ * A cancellable priority queue of timed callbacks: an indexed 4-ary
+ * min-heap on (time, seq) over a slot vector.
+ *
+ * Each scheduled event owns a slot holding its callback and its
+ * current heap position; freed slots are recycled through a free
+ * list. An EventId is (generation << 32) | slot, and a slot's
+ * generation advances every time it is freed, so cancel and liveness
+ * checks are an index plus a compare: a handle of a fired or
+ * cancelled event never matches its slot again, even after the slot
+ * is reused (until that slot's 32-bit generation wraps, after 2^32
+ * reuses). Generations start at 1, so EventId 0 is never issued.
+ * Schedule, cancel and pop are O(log n); the heap stores only 24-byte
+ * keys, so sifts never move a callback.
  */
-class EventQueueBase {
+class EventQueue {
   public:
-    virtual ~EventQueueBase() = default;
-
-    EventQueueBase() = default;
-    EventQueueBase(const EventQueueBase&) = delete;
-    EventQueueBase& operator=(const EventQueueBase&) = delete;
+    EventQueue() = default;
+    EventQueue(const EventQueue&) = delete;
+    EventQueue& operator=(const EventQueue&) = delete;
 
     /**
      * Schedule a callback at an absolute time.
@@ -60,15 +52,16 @@ class EventQueueBase {
 
     /**
      * Cancel a pending event. Cancelling an already-fired or
-     * already-cancelled event is a harmless no-op.
+     * already-cancelled event, or an id never issued, is a harmless
+     * no-op.
      */
     void cancel(EventId id);
 
     /** True when no live events remain. */
-    bool empty() const { return live_.empty(); }
+    bool empty() const { return heap_.empty(); }
 
     /** Number of live (pending, uncancelled) events. */
-    std::size_t size() const { return live_.size(); }
+    std::size_t size() const { return heap_.size(); }
 
     /** Current simulation time (time of the last popped event). */
     double now() const { return now_; }
@@ -84,144 +77,44 @@ class EventQueueBase {
     std::uint64_t executed() const { return executed_; }
 
     /** Approximate heap bytes held by the queue's index structures. */
-    virtual std::size_t approx_bytes() const = 0;
-
-  protected:
-    struct Entry {
-        double time;
-        std::uint64_t seq;
-        EventId id;
-    };
-
-    /** Record a new live entry in the time index. */
-    virtual void push_entry(const Entry& e) = 0;
-
-    /**
-     * Remove and return the live entry minimal in (time, seq).
-     * @pre !empty() — at least one live entry exists
-     */
-    virtual Entry pop_min() = 0;
-
-    /**
-     * A live event was cancelled: drop it from the time index. The
-     * default keeps it as a tombstone for pop_min to skip (the heap
-     * cannot erase mid-structure cheaply); the calendar queue erases
-     * the slot eagerly so pops never re-examine dead entries.
-     *
-     * @param time the event's scheduled time (locates its bucket)
-     */
-    virtual void erase_entry(EventId id, double time);
-
-    /** True while @p id has not fired and has not been cancelled. */
-    bool is_live(EventId id) const { return live_.count(id) != 0; }
-
-    /** Callback plus the scheduled time erase_entry needs. */
-    struct LiveEvent {
-        Callback cb;
-        double time;
-    };
-
-    // Determinism audit (imc-lint determinism-taint): this
-    // map is keyed-lookup only — firing order comes exclusively from
-    // the derived queue's (time, seq) ordering, never from map
-    // iteration. tests/test_determinism.cpp locks that in across
-    // layouts.
-    std::unordered_map<EventId, LiveEvent> live_;
+    std::size_t approx_bytes() const;
 
   private:
+    /** A heap entry: the ordering key plus the owning slot. */
+    struct Node {
+        double time;
+        std::uint64_t seq;
+        std::uint32_t slot;
+    };
+
+    /** A live event's callback and heap index, or a free slot. */
+    struct Slot {
+        Callback cb;
+        std::uint32_t pos = 0;
+        std::uint32_t gen = 1;
+    };
+
+    /** Store @p n at heap index @p i and record the index. */
+    void place(std::size_t i, const Node& n);
+
+    /** Move @p n up from hole @p i to its heap position. */
+    void sift_up(std::size_t i, Node n);
+
+    /** Move @p n down from hole @p i to its heap position. */
+    void sift_down(std::size_t i, Node n);
+
+    /**
+     * Remove the entry at heap index @p i, free its slot (advancing
+     * its generation) and return its callback.
+     */
+    Callback take_at(std::size_t i);
+
+    std::vector<Node> heap_;
+    std::vector<Slot> slots_;
+    std::vector<std::uint32_t> free_;
     double now_ = 0.0;
     std::uint64_t next_seq_ = 0;
-    EventId next_id_ = 1;
     std::uint64_t executed_ = 0;
-};
-
-/**
- * The default queue: a self-resizing calendar queue.
- *
- * Live entries hash openly into `buckets_` by an integer bucket key
- * floor(time / width). A cursor walks the wheel in key order; within
- * the cursor's key, the minimal (time, seq) entry fires. When a whole
- * lap of the wheel is empty (the next event is far in the future),
- * a direct min-scan re-aims the cursor. The wheel doubles when
- * overfull, shrinks when sparse, and re-tunes its width to the live
- * span/count ratio at every rebuild; cancellation erases the entry's
- * slot eagerly (buckets are small, so locating it is O(1) expected),
- * keeping every stored slot live — pops never wade through
- * tombstones.
- */
-class EventQueue final : public EventQueueBase {
-  public:
-    EventQueue();
-
-    std::size_t approx_bytes() const override;
-
-    /** Wheel rebuilds so far (resize/purge events; for tests). */
-    std::uint64_t rebuilds() const { return rebuilds_; }
-
-    /** Current bucket count (for tests exercising resize bounds). */
-    std::size_t bucket_count() const { return buckets_.size(); }
-
-  private:
-    struct Slot {
-        double time;
-        std::uint64_t seq;
-        EventId id;
-        /** Bucket key floor(time / width) at the current width. */
-        std::uint64_t key;
-    };
-
-    void push_entry(const Entry& e) override;
-    Entry pop_min() override;
-    void erase_entry(EventId id, double time) override;
-
-    /** Bucket key of a time at the current width (clamped). */
-    std::uint64_t key_of(double time) const;
-
-    /** Re-bucket all live entries into @p nbuckets (power of two),
-     *  re-tuning width and re-aiming the cursor. */
-    void rebuild(std::size_t nbuckets);
-
-    /** Global min-scan fallback: pop the earliest live entry by
-     *  scanning every bucket, re-aiming the cursor to it. */
-    Entry pop_direct();
-
-    std::vector<std::vector<Slot>> buckets_;
-    double width_ = 1.0;
-    std::size_t mask_ = 0;       // buckets_.size() - 1 (power of two)
-    std::uint64_t cur_key_ = 0;  // bucket key the cursor is parked on
-    std::uint64_t rebuilds_ = 0;
-};
-
-/**
- * The seed binary-heap queue: O(log n) push/pop over one
- * std::priority_queue, tombstoning cancelled entries. Retained as the
- * oracle the calendar queue is equivalence-tested against and as the
- * baseline bench/micro_scale measures the calendar queue's speedup
- * over.
- */
-class HeapEventQueue final : public EventQueueBase {
-  public:
-    std::size_t approx_bytes() const override;
-
-  private:
-    struct HeapEntry {
-        double time;
-        std::uint64_t seq;
-        EventId id;
-        bool operator>(const HeapEntry& o) const
-        {
-            if (time != o.time)
-                return time > o.time;
-            return seq > o.seq;
-        }
-    };
-
-    void push_entry(const Entry& e) override;
-    Entry pop_min() override;
-
-    std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                        std::greater<HeapEntry>>
-        heap_;
 };
 
 } // namespace imc::sim

@@ -1,9 +1,9 @@
 /**
  * @file
- * Regression tests for the PR-4 determinism audit: the three
- * unordered_map sites that back recorded figures (EventQueue::live_,
- * CountingMeasure::cache_, RunService::cache_) are keyed-lookup
- * only, so hash layout and insertion order must never reach any
+ * Regression tests for the determinism audit: the containers whose
+ * layout depends on history — the event queue's slot vector and free
+ * list, and the two unordered_map caches that back recorded figures
+ * (CountingMeasure::cache_, RunService::cache_) — must never reach any
  * output. Each test rebuilds the container state along a different
  * history (extra insert/erase cycles, shuffled submission order) and
  * asserts the observable results — event firing order, measured
@@ -42,16 +42,17 @@ fast_cfg()
 
 /**
  * Fire the canonical tie-heavy event schedule and return the firing
- * order by payload. @p live_map_churn inserts and cancels that many
- * throwaway events FIRST, so the live_ hash map reaches a different
- * bucket layout before the real schedule begins.
+ * order by payload. @p slot_churn inserts and cancels that many
+ * throwaway events FIRST, so the queue's slot vector and free list
+ * reach a different reuse history (which slot, at which generation,
+ * each real event lands in) before the real schedule begins.
  */
 std::vector<int>
-firing_order(int live_map_churn)
+firing_order(int slot_churn)
 {
     sim::EventQueue q;
     std::vector<sim::EventId> churn;
-    for (int i = 0; i < live_map_churn; ++i)
+    for (int i = 0; i < slot_churn; ++i)
         churn.push_back(q.schedule_at(1e9, [] {}));
     for (const sim::EventId id : churn)
         q.cancel(id);
@@ -59,7 +60,7 @@ firing_order(int live_map_churn)
     std::vector<int> fired;
     for (int i = 0; i < 200; ++i) {
         // Many deliberate time ties: ties must break by insertion
-        // order (the seq counter), never by map iteration.
+        // order (the seq counter), never by slot index.
         const double t = static_cast<double>((i * 37) % 50);
         q.schedule_at(t, [&fired, i] { fired.push_back(i); });
     }
@@ -74,7 +75,7 @@ TEST(DeterminismAudit, EventQueuePopOrderIgnoresLiveMapLayout)
 {
     const std::vector<int> base = firing_order(0);
     EXPECT_EQ(base.size(), 200u);
-    // Different churn -> different unordered_map bucket histories.
+    // Different churn -> different slot and free-list histories.
     EXPECT_EQ(base, firing_order(7));
     EXPECT_EQ(base, firing_order(1000));
 }

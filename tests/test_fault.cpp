@@ -35,7 +35,7 @@
 #include "core/profilers.hpp"
 #include "core/registry.hpp"
 #include "placement/evaluator.hpp"
-#include "placement/recovery.hpp"
+#include "sched/recovery.hpp"
 #include "sim/engine.hpp"
 #include "sim/wave.hpp"
 #include "workload/catalog.hpp"
@@ -47,6 +47,9 @@ using namespace imc;
 using namespace imc::core;
 using namespace imc::placement;
 using namespace imc::workload;
+using imc::sched::recover_after_crash;
+using imc::sched::RecoveryResult;
+using imc::sched::scheduled_crashes;
 
 namespace {
 

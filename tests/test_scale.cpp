@@ -1,12 +1,13 @@
 /**
  * @file
- * The scale/equivalence suite locking the rearchitected engine
- * (DESIGN.md §7) to the seed architecture:
+ * The scale/equivalence suite locking the scaled engine (DESIGN.md §7)
+ * to the seed re-solve:
  *
- *  - mode equivalence: the scaled engine (calendar queue, SoA state,
- *    node-local re-solves) must produce a byte-identical per-event
- *    trace — time, solve and reschedule counters at every step,
- *    printed as hexfloat — to EngineMode::kSeed on paper-shaped
+ *  - mode equivalence: the scaled engine (SoA state, node-local
+ *    re-solves; both modes share the one event queue) must produce a
+ *    byte-identical per-event trace — time, solve and reschedule
+ *    counters at every step, printed as hexfloat — to
+ *    EngineMode::kSeed on paper-shaped
  *    scenarios (fig03: an app under bubble tenants; fig08: a co-run
  *    against a restarting co-runner);
  *  - dirty-set property: after any incremental history, a full
