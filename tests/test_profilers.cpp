@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <functional>
+#include <ostream>
 
 #include "common/error.hpp"
 #include "common/obs.hpp"
@@ -219,6 +220,15 @@ struct SurfaceCase {
     std::function<double(int, int)> surface;
     double max_err_pct;
 };
+
+// Print a case by name: gtest's default printer dumps the raw bytes,
+// pointers included, which would make the listed test names differ
+// from one process to the next.
+void
+PrintTo(const SurfaceCase& c, std::ostream* os)
+{
+    *os << c.name;
+}
 
 class ProfilerSweep : public ::testing::TestWithParam<SurfaceCase> {};
 
