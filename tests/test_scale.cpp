@@ -22,6 +22,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <functional>
 #include <sstream>
 #include <string>
@@ -58,6 +60,30 @@ trace_to_completion(Simulation& sim)
            << ' ' << s.proc_reschedules << ' ' << s.computes << '\n';
     }
     return os.str();
+}
+
+/**
+ * Compare @p actual against the recorded golden file @p name in
+ * IMC_SCALE_GOLDEN_DIR. On a mismatch the actual output is written
+ * next to the test's working directory and its path printed, so a
+ * deliberate change can be reviewed with diff and copied over the
+ * recorded file.
+ */
+void
+expect_matches_golden(const std::string& name, const std::string& actual)
+{
+    const std::string golden_path =
+        std::string(IMC_SCALE_GOLDEN_DIR) + "/" + name;
+    std::ifstream in(golden_path, std::ios::binary);
+    std::ostringstream want;
+    want << in.rdbuf();
+    if (in && want.str() == actual)
+        return;
+    const auto dump = std::filesystem::absolute(name + ".got");
+    std::ofstream(dump, std::ios::binary) << actual;
+    ADD_FAILURE() << "output differs from recorded " << golden_path
+                  << "\nactual output written to " << dump.string()
+                  << "\ndiff " << golden_path << ' ' << dump.string();
 }
 
 TenantDemand
@@ -127,6 +153,8 @@ TEST(ScaleEquivalence, Fig03ShapeTraceIsByteIdentical)
         trace_fig03_shape(EngineMode::kScaled);
     ASSERT_FALSE(seed_trace.empty());
     EXPECT_EQ(seed_trace, scaled_trace);
+    expect_matches_golden("scale_fig03.trace", seed_trace);
+    expect_matches_golden("scale_fig03.trace", scaled_trace);
 }
 
 TEST(ScaleEquivalence, Fig08ShapeTraceIsByteIdentical)
@@ -137,6 +165,8 @@ TEST(ScaleEquivalence, Fig08ShapeTraceIsByteIdentical)
         trace_fig08_shape(EngineMode::kScaled);
     ASSERT_FALSE(seed_trace.empty());
     EXPECT_EQ(seed_trace, scaled_trace);
+    expect_matches_golden("scale_fig08.trace", seed_trace);
+    expect_matches_golden("scale_fig08.trace", scaled_trace);
 }
 
 TEST(ScaleEquivalence, CrashRecoveryTraceIsByteIdentical)
@@ -160,6 +190,8 @@ TEST(ScaleEquivalence, CrashRecoveryTraceIsByteIdentical)
     const std::string scaled_trace = traced(EngineMode::kScaled);
     ASSERT_FALSE(seed_trace.empty());
     EXPECT_EQ(seed_trace, scaled_trace);
+    expect_matches_golden("scale_crash.trace", seed_trace);
+    expect_matches_golden("scale_crash.trace", scaled_trace);
 }
 
 TEST(ScaleProperty, FullRefreshIsNoOpAfterIncrementalHistory)
@@ -274,16 +306,23 @@ TEST(ScaleProperty, ResolveBatchesNest)
     EXPECT_EQ(sim.tenant_slowdown(b), oracle.tenant_slowdown(ob));
 }
 
-TEST(ScaleSmoke, ThousandNodeChurnRunConservesWorkAndPressure)
+namespace {
+
+/**
+ * A seeded 1000-node churn run, tier-1 sized (~35k events): every
+ * tenant runs 5 compute segments with 30% demand churn. Checks that
+ * no work unit is lost and every node's pressure total (sum of live
+ * tenant demands) matches the driver's books, and returns the run's
+ * final fingerprint: events executed, now() and the sum of tenant
+ * slowdowns as hexfloat, contention solves and proc reschedules.
+ */
+std::string
+churn_fingerprint(EngineMode mode)
 {
-    // A seeded 1000-node churn run, tier-1 sized (~35k events): every
-    // tenant runs 5 compute segments with 30% demand churn. At the
-    // end no work unit may be lost and every node's pressure total
-    // (sum of live tenant demands) must match the driver's books.
     constexpr int kNodes = 1000;
     constexpr int kTenantsPerNode = 7;
     constexpr int kSegments = 5;
-    Simulation sim(ClusterSpec::scaled(kNodes));
+    Simulation sim(ClusterSpec::scaled(kNodes), SimOptions{mode});
 
     struct Tenant {
         TenantId id;
@@ -359,4 +398,25 @@ TEST(ScaleSmoke, ThousandNodeChurnRunConservesWorkAndPressure)
                   expected[static_cast<std::size_t>(node)])
             << "node " << node << " pressure books diverged";
     EXPECT_EQ(sim.tenants_on(0), kTenantsPerNode);
+
+    double slowdown_sum = 0.0;
+    for (const Tenant& t : tenants)
+        slowdown_sum += sim.tenant_slowdown(t.id);
+    std::ostringstream os;
+    os << std::hexfloat << sim.events_executed() << ' ' << sim.now()
+       << ' ' << sim.stats().contention_solves << ' '
+       << sim.stats().proc_reschedules << ' ' << slowdown_sum << '\n';
+    return os.str();
+}
+
+} // namespace
+
+TEST(ScaleSmoke, ThousandNodeChurnRunConservesWorkAndPressure)
+{
+    const std::string seed_print = churn_fingerprint(EngineMode::kSeed);
+    const std::string scaled_print =
+        churn_fingerprint(EngineMode::kScaled);
+    EXPECT_EQ(seed_print, scaled_print);
+    expect_matches_golden("scale_churn.fingerprint", seed_print);
+    expect_matches_golden("scale_churn.fingerprint", scaled_print);
 }
