@@ -1,12 +1,10 @@
 /**
  * @file
  * Micro benchmark of the simulation-engine hot path: events per
- * second for (a) the seed re-solve (a full proc scan per contention
- * re-solve, an allocating solver) and (b) the scaled re-solve
- * (struct-of-arrays state, node-local re-solves) across a node sweep
- * — the recorded artifact behind the DESIGN.md §7 claim that the
- * scaled engine runs 10k-node clusters in seconds. Both modes share
- * the one event queue, so the ratio measures the re-solve alone.
+ * second of the engine (struct-of-arrays state, node-local re-solves,
+ * one indexed event queue) across a node sweep — the recorded
+ * artifact behind the DESIGN.md §7 claim that the engine runs
+ * 10k-node clusters in seconds.
  *
  * The scenario is churn-heavy to stress the re-solve path: every node
  * hosts `--tenants` single-proc tenants, every proc executes
@@ -15,22 +13,16 @@
  * phase change that re-solves its node and reschedules its
  * neighbours). All randomness is per-tenant, so the generated event
  * load is a pure function of the scale, never of engine internals.
- *
- * Both modes run the identical scenario and the bench cross-checks
- * that final time, events executed, and the sum of tenant slowdowns
- * agree exactly — the speedup is never bought with a different
- * answer. Above `--baseline-max-nodes` (default 1000) only the
- * scaled engine runs: the seed engine's O(cluster) re-solve makes a
- * 10k-node baseline take minutes, which is the point.
+ * The engine's answers are pinned by tests/test_scale.cpp's golden
+ * traces, not here.
  *
  * Usage: micro_scale [--scales 8,100,1000,10000] [--tenants 10]
- *                    [--segments 10] [--baseline-max-nodes 1000]
- *                    [--runs 1] [--min-eps N] [--seed S]
+ *                    [--segments 10] [--runs 1] [--min-eps N]
+ *                    [--seed S]
  *
- * --min-eps makes the bench exit nonzero when the scaled engine's
- * events/sec at the LARGEST swept scale drops below N — the CI
- * short-sweep smoke (`--scales 8,100 --min-eps ...`) uses it as a
- * regression floor.
+ * --min-eps makes the bench exit nonzero when the events/sec at the
+ * LARGEST swept scale drops below N — the CI short-sweep smoke
+ * (`--scales 8,100 --min-eps ...`) uses it as a regression floor.
  */
 
 #include <cerrno>
@@ -93,8 +85,8 @@ class Driver {
         for (int node = 0; node < nodes; ++node) {
             for (int k = 0; k < tenants_per_node; ++k) {
                 Tenant t;
-                // Per-tenant stream: the event load is identical in
-                // every engine mode regardless of callback order.
+                // Per-tenant stream: the event load does not depend
+                // on callback order.
                 t.rng = Rng(seed ^
                             (0x9E3779B97F4A7C15ULL *
                              (tenants_.size() + 1)));
@@ -106,15 +98,6 @@ class Driver {
         }
         for (std::size_t i = 0; i < tenants_.size(); ++i)
             start_segment(i);
-    }
-
-    /** Sum of live tenants' slowdowns: the equivalence fingerprint. */
-    double slowdown_sum() const
-    {
-        double sum = 0.0;
-        for (const auto& t : tenants_)
-            sum += sim_.tenant_slowdown(t.tenant);
-        return sum;
     }
 
   private:
@@ -151,18 +134,14 @@ struct RunResult {
     double wall = 0.0;
     std::uint64_t events = 0;
     double events_per_sec = 0.0;
-    double final_time = 0.0;
-    double slowdown_sum = 0.0;
     std::size_t bytes_per_node = 0;
-    std::uint64_t solves = 0;
 };
 
 RunResult
-run_once(int nodes, EngineMode mode, int tenants_per_node,
-         int segments, std::uint64_t seed)
+run_once(int nodes, int tenants_per_node, int segments,
+         std::uint64_t seed)
 {
-    Simulation simulation(ClusterSpec::scaled(nodes),
-                          SimOptions{mode});
+    Simulation simulation(ClusterSpec::scaled(nodes));
     const auto t0 = std::chrono::steady_clock::now();
     Driver driver(simulation, tenants_per_node, segments, seed);
     simulation.run(/*max_events=*/500'000'000);
@@ -171,30 +150,22 @@ run_once(int nodes, EngineMode mode, int tenants_per_node,
     r.events = simulation.events_executed();
     r.events_per_sec =
         r.wall > 0.0 ? static_cast<double>(r.events) / r.wall : 0.0;
-    r.final_time = simulation.now();
-    r.slowdown_sum = driver.slowdown_sum();
     r.bytes_per_node = simulation.approx_bytes() /
                        static_cast<std::size_t>(nodes);
-    r.solves = simulation.stats().contention_solves;
     return r;
 }
 
 /** Best wall time over @p runs repeats (the runs are identical). */
 RunResult
-run_best(int nodes, EngineMode mode, int tenants_per_node,
-         int segments, std::uint64_t seed, int runs)
+run_best(int nodes, int tenants_per_node, int segments,
+         std::uint64_t seed, int runs)
 {
     RunResult best;
     for (int i = 0; i < runs; ++i) {
-        RunResult r = run_once(nodes, mode, tenants_per_node,
-                               segments, seed);
+        RunResult r = run_once(nodes, tenants_per_node, segments, seed);
         if (i == 0 || r.wall < best.wall)
             best = r;
     }
-    best.events_per_sec =
-        best.wall > 0.0
-            ? static_cast<double>(best.events) / best.wall
-            : 0.0;
     return best;
 }
 
@@ -229,7 +200,6 @@ run(int argc, char** argv)
     const auto scales = parse_scales(cli);
     const int tenants_per_node = cli.get_int("tenants", 10);
     const int segments = cli.get_int("segments", 10);
-    const int baseline_max = cli.get_int("baseline-max-nodes", 1000);
     const int runs = cli.get_int("runs", 1);
     require(runs >= 1, "micro_scale: --runs must be >= 1");
     const double min_eps = cli.get_double("min-eps", 0.0);
@@ -239,81 +209,35 @@ run(int argc, char** argv)
     std::cout << "Sim-engine scale bench: " << tenants_per_node
               << " single-proc tenants/node, " << segments
               << " compute segments each, 30% demand churn "
-              << "(seed=" << seed << ")\n"
-              << "seed baseline runs up to " << baseline_max
-              << " nodes; scaled mode runs every scale\n\n";
+              << "(seed=" << seed << ")\n\n";
 
-    Table table({"nodes", "units", "engine", "events", "wall (s)",
-                 "events/sec", "speedup", "bytes/node"});
-    bool equivalent = true;
-    double largest_scaled_eps = 0.0;
+    Table table({"nodes", "units", "events", "wall (s)", "events/sec",
+                 "bytes/node"});
+    double largest_eps = 0.0;
     for (const int nodes : scales) {
         const std::uint64_t units =
             static_cast<std::uint64_t>(nodes) *
             static_cast<std::uint64_t>(tenants_per_node);
-        const bool with_baseline = nodes <= baseline_max;
-
-        RunResult seed_run;
-        if (with_baseline)
-            seed_run = run_best(nodes, EngineMode::kSeed,
-                                tenants_per_node, segments, seed,
-                                runs);
-        const RunResult scaled_run =
-            run_best(nodes, EngineMode::kScaled, tenants_per_node,
-                     segments, seed, runs);
-        largest_scaled_eps = scaled_run.events_per_sec;
-
-        if (with_baseline) {
-            table.add_row({std::to_string(nodes),
-                           std::to_string(units), "seed",
-                           std::to_string(seed_run.events),
-                           fmt_fixed(seed_run.wall, 3),
-                           fmt_fixed(seed_run.events_per_sec, 0),
-                           "1.00x",
-                           std::to_string(seed_run.bytes_per_node)});
-            if (seed_run.events != scaled_run.events ||
-                seed_run.final_time != scaled_run.final_time ||
-                seed_run.slowdown_sum != scaled_run.slowdown_sum) {
-                equivalent = false;
-                std::cout << "EQUIVALENCE FAILURE at " << nodes
-                          << " nodes: seed (events="
-                          << seed_run.events
-                          << ", t=" << seed_run.final_time
-                          << ", sum=" << seed_run.slowdown_sum
-                          << ") vs scaled (events="
-                          << scaled_run.events
-                          << ", t=" << scaled_run.final_time
-                          << ", sum=" << scaled_run.slowdown_sum
-                          << ")\n";
-            }
-        }
-        const double speedup =
-            with_baseline && seed_run.events_per_sec > 0.0
-                ? scaled_run.events_per_sec / seed_run.events_per_sec
-                : 0.0;
-        table.add_row(
-            {std::to_string(nodes), std::to_string(units), "scaled",
-             std::to_string(scaled_run.events),
-             fmt_fixed(scaled_run.wall, 3),
-             fmt_fixed(scaled_run.events_per_sec, 0),
-             with_baseline ? fmt_fixed(speedup, 2) + "x" : "-",
-             std::to_string(scaled_run.bytes_per_node)});
+        const RunResult r =
+            run_best(nodes, tenants_per_node, segments, seed, runs);
+        largest_eps = r.events_per_sec;
+        table.add_row({std::to_string(nodes), std::to_string(units),
+                       std::to_string(r.events), fmt_fixed(r.wall, 3),
+                       fmt_fixed(r.events_per_sec, 0),
+                       std::to_string(r.bytes_per_node)});
     }
     table.print(std::cout);
 
-    std::cout << "\nseed == scaled (events, final time, slowdown sum)"
-              << " at every compared scale: "
-              << (equivalent ? "yes" : "NO — BUG") << '\n';
     if (min_eps > 0.0) {
-        const bool ok = largest_scaled_eps >= min_eps;
-        std::cout << "events/sec floor at largest scale: "
-                  << fmt_fixed(largest_scaled_eps, 0) << " vs "
+        const bool ok = largest_eps >= min_eps;
+        std::cout << "\nevents/sec floor at largest scale: "
+                  << fmt_fixed(largest_eps, 0) << " vs "
                   << fmt_fixed(min_eps, 0) << " required: "
                   << (ok ? "ok" : "BELOW FLOOR") << '\n';
         if (!ok)
             return 1;
     }
-    return equivalent ? 0 : 1;
+    return 0;
 }
 
 } // namespace

@@ -25,11 +25,10 @@
  * total-time cost. The serving analogue of Figure 10.
  *
  * Output is a pure function of the flags: byte-identical at any
- * --threads setting and across --engine seed|scaled (the two sim
- * engine modes execute event-for-event identically).
+ * --threads setting.
  *
  * Usage: micro_serve [--seed 42] [--reps 3] [--iters 4000]
- *                    [--slo 1.30] [--threads 1] [--engine scaled]
+ *                    [--slo 1.30] [--threads 1]
  *                    [--apps A,B,...] [--max-p99 0] [--csv]
  *
  * --max-p99 X makes the bench exit nonzero when the qos placement's
@@ -120,12 +119,7 @@ run(int argc, char** argv)
     const Cli cli(argc, argv);
     const obs::Session obs_session(cli);
     const fault::Session fault_session(cli);
-    auto cfg = benchutil::config_from_cli(cli);
-    const std::string engine = cli.get("engine", "scaled");
-    require(engine == "scaled" || engine == "seed",
-            "micro_serve: --engine must be seed or scaled");
-    cfg.engine = engine == "seed" ? sim::EngineMode::kSeed
-                                  : sim::EngineMode::kScaled;
+    const auto cfg = benchutil::config_from_cli(cli);
     const int iters = cli.get_int("iters", 4000);
     const double slo_target = cli.get_double("slo", 1.30);
     const double max_p99 = cli.get_double("max-p99", 0.0);
@@ -141,7 +135,7 @@ run(int argc, char** argv)
     std::cout << "micro_serve: p99 QoS placement for the serving mix\n"
               << "(cluster=" << cfg.cluster.name
               << ", service p99 target <= " << fmt_fixed(slo_target, 2)
-              << "x solo, engine=" << engine << ", seed=" << cfg.seed
+              << "x solo, seed=" << cfg.seed
               << ", reps=" << cfg.reps << ", iters=" << iters
               << ")\n\n";
 

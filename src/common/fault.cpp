@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <memory>
 #include <mutex>
@@ -127,8 +128,8 @@ parse_clause(const std::string& text)
     if (fields.size() == 4) {
         clause.param = parse_number(text, fields[3],
                                     "param must be a number");
-        if (!(clause.param >= 0.0))
-            bad_spec(text, "param must be >= 0");
+        if (!(clause.param >= 0.0 && std::isfinite(clause.param)))
+            bad_spec(text, "param must be finite and >= 0");
     }
     return clause;
 }

@@ -223,7 +223,7 @@ measure_actual(const Placement& placement, const workload::RunConfig& cfg)
         Rng rep_rng = master.fork("measure_actual")
                           .fork(cfg.salt)
                           .fork(rep);
-        sim::Simulation sim(cfg.cluster, sim::SimOptions{cfg.engine});
+        sim::Simulation sim(cfg.cluster);
 
         // Dom0 adjustments follow actual node sharing.
         std::vector<workload::Deployment> deployments;

@@ -28,8 +28,7 @@ struct ExecApp {
 class Executor {
   public:
     Executor(const Trace& trace, std::uint64_t seed)
-        : sim_(sim::ClusterSpec::scaled(trace.num_nodes),
-               sim::SimOptions{sim::EngineMode::kScaled}),
+        : sim_(sim::ClusterSpec::scaled(trace.num_nodes)),
           rng_(seed)
     {
         for (const auto& e : trace.events)

@@ -46,7 +46,7 @@ struct ReplayOptions {
     /** Seed of the oracle anneals. */
     std::uint64_t oracle_seed = 99;
     /**
-     * Also execute the maintained placement on a kScaled simulation:
+     * Also execute the maintained placement on a sim::Simulation:
      * admitted apps launch (restarting) on their assigned nodes,
      * departures and evictions detach mid-flight, crashes kill the
      * sim node, and apps whose node set changed are re-attached at

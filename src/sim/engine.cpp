@@ -8,8 +8,8 @@
 
 namespace imc::sim {
 
-Simulation::Simulation(ClusterSpec spec, SimOptions opts)
-    : spec_(std::move(spec)), opts_(opts)
+Simulation::Simulation(ClusterSpec spec, SimOptions)
+    : spec_(std::move(spec))
 {
     require(spec_.num_nodes > 0, "Simulation: cluster needs >= 1 node");
     const auto n = static_cast<std::size_t>(spec_.num_nodes);
@@ -123,9 +123,9 @@ Simulation::add_proc(TenantId t)
     proc_last_update_.push_back(0.0);
     proc_event_.push_back(0);
     proc_done_.emplace_back();
-    // Appended in ascending ProcId order: the node list then matches
-    // the seed engine's global ascending-pid scan order exactly, so
-    // reschedules produce identical event sequences.
+    // Appended in ascending ProcId order, so a re-solve reschedules
+    // a node's procs in pid order — the order the tests/golden/
+    // traces were recorded in.
     node_procs_[static_cast<std::size_t>(tenant_node_[ti])].push_back(id);
     return id;
 }
@@ -308,16 +308,6 @@ Simulation::refresh_node(NodeId node)
 void
 Simulation::resolve_node(NodeId node)
 {
-    if (opts_.mode == EngineMode::kSeed) {
-        resolve_node_seed(node);
-        return;
-    }
-    resolve_node_scaled(node);
-}
-
-void
-Simulation::resolve_node_scaled(NodeId node)
-{
     const auto ni = static_cast<std::size_t>(node);
     const auto& ids = node_tenants_[ni];
 
@@ -333,8 +323,8 @@ Simulation::resolve_node_scaled(NodeId node)
     }
 
     // Settle and reschedule the node's busy procs — and only the
-    // node's: the per-node index list replaces the seed engine's scan
-    // of every proc in the cluster.
+    // node's: the per-node index list keeps a re-solve O(node), not
+    // O(cluster).
     for (const ProcId pid : node_procs_[ni]) {
         const auto pi = static_cast<std::size_t>(pid);
         if (!proc_busy_[pi])
@@ -342,35 +332,6 @@ Simulation::resolve_node_scaled(NodeId node)
         reschedule_proc(
             pi,
             tenant_slowdown_[static_cast<std::size_t>(proc_tenant_[pi])]);
-    }
-}
-
-void
-Simulation::resolve_node_seed(NodeId node)
-{
-    const auto ni = static_cast<std::size_t>(node);
-    const auto& ids = node_tenants_[ni];
-    std::vector<TenantDemand> demands;
-    demands.reserve(ids.size());
-    for (const TenantId t : ids)
-        demands.push_back(tenant_demand_[static_cast<std::size_t>(t)]);
-
-    ++stats_.contention_solves;
-    const auto results = solve_contention(spec_.node, demands);
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-        tenant_slowdown_[static_cast<std::size_t>(ids[i])] =
-            results[i].slowdown;
-    }
-
-    // The seed hot path: scan every proc in the cluster for the few
-    // that live on this node — O(cluster) per re-solve.
-    for (std::size_t pi = 0; pi < proc_tenant_.size(); ++pi) {
-        if (!proc_busy_[pi])
-            continue;
-        const auto ti = static_cast<std::size_t>(proc_tenant_[pi]);
-        if (tenant_node_[ti] != node)
-            continue;
-        reschedule_proc(pi, tenant_slowdown_[ti]);
     }
 }
 

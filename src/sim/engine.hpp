@@ -24,10 +24,9 @@
  * O(cluster); the indexed event queue makes schedule, cancel and pop
  * O(log n) with no hashing; and a resolve *batch* (ResolveBatch)
  * coalesces many mutations into one re-solve per dirtied node.
- * EngineMode::kSeed keeps the original re-solve (full proc scan,
- * allocating solver) on the same queue, as the equivalence oracle
- * and the baseline bench/micro_scale measures against — both modes
- * are event-for-event identical (tests/test_scale.cpp).
+ * tests/golden/ pins the engine's per-event answers: hexfloat traces
+ * recorded from the original full-scan, allocating re-solve, which
+ * tests/test_scale.cpp compares byte for byte.
  */
 
 #include <cstdint>
@@ -55,21 +54,17 @@ struct SimStats {
 };
 
 /**
- * Which contention re-solve a Simulation runs. Both modes share the
- * one event queue; they differ only in the re-solve.
+ * The engine has one mode. This enum and SimOptions remain only
+ * because the benchmark harness (perfbench/src/sim_churn.cpp) names
+ * them and is kept unchanged across engine changes, so its runs
+ * compare commit to commit; the Simulation constructor ignores them
+ * and nothing else in the tree names them.
  */
 enum class EngineMode {
-    /** SoA state + node-local, non-allocating re-solves (default). */
     kScaled,
-    /**
-     * The seed re-solve: a full scan of every proc per re-solve and a
-     * fresh allocation per solve. Kept as the equivalence oracle and
-     * the micro_scale baseline.
-     */
-    kSeed,
 };
 
-/** Engine construction knobs. */
+/** Accepted and ignored by Simulation (see EngineMode). */
 struct SimOptions {
     EngineMode mode = EngineMode::kScaled;
 };
@@ -81,17 +76,14 @@ struct SimOptions {
  */
 class Simulation {
   public:
-    /** Build an idle cluster from a spec. */
-    explicit Simulation(ClusterSpec spec, SimOptions opts = {});
+    /** Build an idle cluster from a spec (SimOptions is ignored). */
+    explicit Simulation(ClusterSpec spec, SimOptions = {});
 
     Simulation(const Simulation&) = delete;
     Simulation& operator=(const Simulation&) = delete;
 
     /** The cluster configuration this simulation runs. */
     const ClusterSpec& spec() const { return spec_; }
-
-    /** The re-solve mode this simulation runs. */
-    EngineMode mode() const { return opts_.mode; }
 
     /** Current simulation time in seconds. */
     double now() const { return queue_.now(); }
@@ -242,13 +234,7 @@ class Simulation {
     /** Re-solve a node now, or mark it dirty inside a batch. */
     void refresh_node(NodeId node);
 
-    /** The node-local re-solve (scaled mode). */
-    void resolve_node_scaled(NodeId node);
-
-    /** The seed re-solve: allocating solve + full proc scan. */
-    void resolve_node_seed(NodeId node);
-
-    /** Dispatch to the mode's re-solve implementation. */
+    /** Re-solve a node's contention and re-rate its busy procs. */
     void resolve_node(NodeId node);
 
     /** Settle a busy proc's remaining work up to now(). */
@@ -264,10 +250,9 @@ class Simulation {
     void complete(ProcId pid);
 
     ClusterSpec spec_;
-    SimOptions opts_;
     EventQueue queue_;
     SimStats stats_;
-    ContentionSolver solver_; // reusable SoA scratch (scaled mode)
+    ContentionSolver solver_; // reusable SoA scratch
 
     // Per-node state.
     std::vector<char> crashed_; // per-node crash flag

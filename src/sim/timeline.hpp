@@ -21,9 +21,9 @@
  * site is guarded by one pointer test, and recording never reads a
  * clock, draws randomness, or feeds back into the simulation — so a
  * run with capture on is event-for-event identical to one with it
- * off, and the captured bytes are identical across RunService thread
- * counts and the kSeed/kScaled engines (locked down by
- * tests/test_determinism.cpp and tests/test_delaywave.cpp).
+ * off, and the captured bytes are identical across RunService and
+ * sweep thread counts (locked down by tests/test_determinism.cpp and
+ * tests/test_delaywave.cpp).
  */
 
 #include <iosfwd>

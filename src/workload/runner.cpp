@@ -82,7 +82,7 @@ run_app_time(const AppSpec& app, const std::vector<sim::NodeId>& nodes,
         Rng rep_rng = master.fork("run_app_time:" + app.abbrev)
                           .fork(cfg.salt)
                           .fork(rep);
-        sim::Simulation sim(cfg.cluster, sim::SimOptions{cfg.engine});
+        sim::Simulation sim(cfg.cluster);
         Rng bg_rng = rep_rng.fork("background");
         add_background(sim, bg_rng);
         for (const auto& t : extra)
@@ -225,7 +225,7 @@ run_corun_time(const AppSpec& target,
         Rng rep_rng = master.fork("run_corun_time:" + target.abbrev)
                           .fork(cfg.salt)
                           .fork(rep);
-        sim::Simulation sim(cfg.cluster, sim::SimOptions{cfg.engine});
+        sim::Simulation sim(cfg.cluster);
         Rng bg_rng = rep_rng.fork("background");
         add_background(sim, bg_rng);
 

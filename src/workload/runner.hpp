@@ -37,9 +37,6 @@ struct RunConfig {
      * distinct profiling runs on a real cluster would).
      */
     std::uint64_t salt = 0;
-    /** Simulation engine driving each run. Both modes execute
-     *  event-for-event identically; kScaled is the fast default. */
-    sim::EngineMode engine = sim::EngineMode::kScaled;
 };
 
 /** A static interference source present for a whole run. */

@@ -25,7 +25,7 @@
  * time — comes from one named fork of the launch RNG, in a fixed
  * order per request, at arrival-generation time. The request stream
  * is therefore a pure function of (spec, launch options), identical
- * under kSeed/kScaled and any RunService thread count; the running
+ * at any RunService thread count; the running
  * request_digest() hashes every (arrival, latency) pair so tests can
  * assert byte-identity without logging per-request records.
  */

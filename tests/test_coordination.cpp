@@ -204,7 +204,7 @@ TEST(Barrier, LastArriverReleasesInArrivalOrder)
 {
     // Ties in simulated time break by schedule order, so the release
     // callbacks must run in arrival order — the delay-wave timeline
-    // depends on this being stable across engines.
+    // depends on this being stable.
     auto sim = make_sim();
     Barrier barrier(sim, 3, 0.0);
     std::vector<int> released;

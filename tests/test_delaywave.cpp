@@ -320,23 +320,6 @@ TEST(Delaywave, NoisySpeedMatchesAnalyticPace)
                 0.10 * pred.ranks_per_sec);
 }
 
-TEST(Delaywave, TimelineBytesIdenticalAcrossEngines)
-{
-    for (const double sigma : {0.0, 0.2}) {
-        auto s = silent_chain();
-        s.noise_sigma = sigma;
-        s.engine = sim::EngineMode::kSeed;
-        delaywave::Scenario scaled = s;
-        scaled.engine = sim::EngineMode::kScaled;
-        const ArmGuard guard(1, inject_spec(0.3));
-        const auto a = delaywave::capture(s);
-        const auto b = delaywave::capture(scaled);
-        EXPECT_EQ(a.timeline.canonical_bytes(),
-                  b.timeline.canonical_bytes())
-            << "sigma " << sigma;
-    }
-}
-
 TEST(Delaywave, TimelineBytesIdenticalAcrossSweepThreads)
 {
     std::vector<delaywave::Scenario> batch;
@@ -344,8 +327,6 @@ TEST(Delaywave, TimelineBytesIdenticalAcrossSweepThreads)
         auto s = silent_chain();
         s.noise_sigma = 0.05 * i;
         s.seed = 40 + static_cast<std::uint64_t>(i);
-        if (i % 2 == 1)
-            s.engine = sim::EngineMode::kSeed;
         batch.push_back(s);
     }
     const ArmGuard guard(1, inject_spec(0.3));

@@ -275,6 +275,7 @@ TEST(FaultSchedule, MalformedSpecsRejected)
           "Run.Exec:fail:0.5",      // uppercase site
           "run exec:fail:0.5",      // space in site
           "run.exec:slow:0.5:-1",   // negative param
+          "run.exec:slow:0.5:inf",  // non-finite param
           "run.exec:fail:0.5:1:2",  // too many fields
           ":::"}) {
         EXPECT_THROW(fault::arm(1, bad), ConfigError) << bad;
@@ -824,7 +825,7 @@ TEST(FaultCrash, ScheduledCrashesDeterministicAndGatedOnArming)
 
 // ---------------------------------------------------------------------
 // 1k-node crash-recovery chaos: a --fault-spec sim.crash:crash:0.05
-// schedule dooms ~5% of a 1000-node cluster; the scaled engine
+// schedule dooms ~5% of a 1000-node cluster; the sim engine
 // absorbs the mid-run crash wave dropping exactly the victims' work,
 // and placement recovery re-places every displaced unit off the dead
 // nodes — with an outcome that is byte-identical whether the models
@@ -878,12 +879,10 @@ TEST(FaultCrash, ThousandNodeChaosRecoveryIsThreadInvariant)
     for (const sim::NodeId node : dead)
         is_dead[static_cast<std::size_t>(node)] = true;
 
-    // Phase 1: the scaled engine takes the crash wave mid-run. Every
+    // Phase 1: the sim engine takes the crash wave mid-run. Every
     // node hosts one computing tenant; exactly the victims' work is
     // lost and every victim ends empty.
-    sim::Simulation simulation(sim::ClusterSpec::scaled(kNodes),
-                               sim::SimOptions{
-                                   sim::EngineMode::kScaled});
+    sim::Simulation simulation(sim::ClusterSpec::scaled(kNodes));
     int completions = 0;
     for (int node = 0; node < kNodes; ++node) {
         const sim::TenantId tenant =

@@ -103,6 +103,38 @@ TEST_P(ContentionProperties, ResultOrderIndependentOfTenantOrder)
     }
 }
 
+TEST_P(ContentionProperties, ReusedSolverMatchesFreshSolveBitForBit)
+{
+    // The engine keeps one ContentionSolver for life and refills it
+    // after clear() on every re-solve. A reused solver must answer
+    // exactly as the one-shot solve_contention does; batches of 0 to
+    // 12 tenants grow and shrink, so a slot left over from an earlier,
+    // larger batch would show.
+    Rng rng(static_cast<std::uint64_t>(GetParam()) + 300);
+    const sim::NodeResources node{20.0, 30.0, 0.75};
+    sim::ContentionSolver solver;
+    for (int trial = 0; trial < 200; ++trial) {
+        const auto k = static_cast<std::size_t>(rng.uniform_int(0, 12));
+        std::vector<sim::TenantDemand> tenants;
+        for (std::size_t i = 0; i < k; ++i)
+            tenants.push_back(random_demand(rng));
+        solver.clear();
+        for (const auto& t : tenants)
+            solver.push(t);
+        solver.solve(node);
+        const auto fresh = sim::solve_contention(node, tenants);
+        ASSERT_EQ(solver.size(), k);
+        for (std::size_t i = 0; i < k; ++i) {
+            ASSERT_EQ(solver.slowdown(i), fresh[i].slowdown)
+                << "trial " << trial << " tenant " << i;
+            ASSERT_EQ(solver.cache_share_mb(i), fresh[i].cache_share_mb)
+                << "trial " << trial << " tenant " << i;
+            ASSERT_EQ(solver.miss_inflation(i), fresh[i].miss_inflation)
+                << "trial " << trial << " tenant " << i;
+        }
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, ContentionProperties,
                          ::testing::Range(1, 4));
 

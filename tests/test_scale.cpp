@@ -1,22 +1,29 @@
 /**
  * @file
- * The scale/equivalence suite locking the scaled engine (DESIGN.md §7)
- * to the seed re-solve:
+ * The scale suite locking the engine's architecture (DESIGN.md §7):
  *
- *  - mode equivalence: the scaled engine (SoA state, node-local
- *    re-solves; both modes share the one event queue) must produce a
- *    byte-identical per-event trace — time, solve and reschedule
- *    counters at every step, printed as hexfloat — to
- *    EngineMode::kSeed on paper-shaped
+ *  - golden traces: the per-event trace — time, solve and reschedule
+ *    counters at every step, printed as hexfloat — of paper-shaped
  *    scenarios (fig03: an app under bubble tenants; fig08: a co-run
- *    against a restarting co-runner);
+ *    against a restarting co-runner; a mid-run node crash) must equal
+ *    its file in tests/golden/ byte for byte. The files were recorded
+ *    from the original re-solve (a scan over every proc in the
+ *    cluster, a fresh solver per solve), so they pin the node-local,
+ *    struct-of-arrays re-solve to that re-solve's answers;
  *  - dirty-set property: after any incremental history, a full
  *    refresh_all_nodes() re-solve changes no tenant's slowdown;
  *  - batching property: a mutation burst inside a resolve batch ends
  *    in exactly the state eager per-mutation re-solves produce, with
  *    fewer solves;
  *  - 1k-node smoke: a seeded 1000-node churn run completes with no
- *    lost work units and conserved per-node pressure totals.
+ *    lost work units and conserved per-node pressure totals, and its
+ *    final fingerprint (events, time, solves, reschedules, slowdown
+ *    sum) equals tests/golden/scale_churn.fingerprint.
+ *
+ * Re-recording after a deliberate change: run test_scale; every
+ * mismatch writes the actual output to <name>.got in the working
+ * directory and prints the diff command. Review the diff, then copy
+ * the .got file over tests/golden/<name>.
  */
 
 #include <gtest/gtest.h>
@@ -44,9 +51,8 @@ namespace {
 /**
  * Step a simulation to completion, appending one line per event:
  * index, now() as hexfloat (exact bits), and the engine's solve /
- * reschedule / compute counters. Two engines with identical traces
- * executed the same events at the same times with the same amount of
- * contention work — the equivalence the scaled mode promises.
+ * reschedule / compute counters. Equal traces mean the same events
+ * ran at the same times with the same amount of contention work.
  */
 std::string
 trace_to_completion(Simulation& sim)
@@ -70,7 +76,8 @@ trace_to_completion(Simulation& sim)
  * recorded file.
  */
 void
-expect_matches_golden(const std::string& name, const std::string& actual)
+expect_matches_golden(const std::string& name,
+                      const std::string& actual)
 {
     const std::string golden_path =
         std::string(IMC_SCALE_GOLDEN_DIR) + "/" + name;
@@ -100,9 +107,9 @@ jittered_demand(Rng& rng)
 
 /** fig03 shape: one app on 4 nodes under fixed bubble pressure. */
 std::string
-trace_fig03_shape(EngineMode mode)
+trace_fig03_shape()
 {
-    Simulation sim(ClusterSpec::private8(), SimOptions{mode});
+    Simulation sim(ClusterSpec::private8());
     // Bubbles on half the app's nodes, as a fig03 sensitivity point.
     const std::vector<double> pressures{0.8, 0.0, 1.6, 0.0};
     for (const ExtraTenant& b : bubble_tenants(pressures))
@@ -120,9 +127,9 @@ trace_fig03_shape(EngineMode mode)
 
 /** fig08 shape: a target co-running with a restarting co-runner. */
 std::string
-trace_fig08_shape(EngineMode mode)
+trace_fig08_shape()
 {
-    Simulation sim(ClusterSpec::private8(), SimOptions{mode});
+    Simulation sim(ClusterSpec::private8());
 
     LaunchOptions co_opts;
     co_opts.nodes = {0, 1, 2, 3};
@@ -147,51 +154,29 @@ trace_fig08_shape(EngineMode mode)
 
 TEST(ScaleEquivalence, Fig03ShapeTraceIsByteIdentical)
 {
-    const std::string seed_trace =
-        trace_fig03_shape(EngineMode::kSeed);
-    const std::string scaled_trace =
-        trace_fig03_shape(EngineMode::kScaled);
-    ASSERT_FALSE(seed_trace.empty());
-    EXPECT_EQ(seed_trace, scaled_trace);
-    expect_matches_golden("scale_fig03.trace", seed_trace);
-    expect_matches_golden("scale_fig03.trace", scaled_trace);
+    expect_matches_golden("scale_fig03.trace", trace_fig03_shape());
 }
 
 TEST(ScaleEquivalence, Fig08ShapeTraceIsByteIdentical)
 {
-    const std::string seed_trace =
-        trace_fig08_shape(EngineMode::kSeed);
-    const std::string scaled_trace =
-        trace_fig08_shape(EngineMode::kScaled);
-    ASSERT_FALSE(seed_trace.empty());
-    EXPECT_EQ(seed_trace, scaled_trace);
-    expect_matches_golden("scale_fig08.trace", seed_trace);
-    expect_matches_golden("scale_fig08.trace", scaled_trace);
+    expect_matches_golden("scale_fig08.trace", trace_fig08_shape());
 }
 
 TEST(ScaleEquivalence, CrashRecoveryTraceIsByteIdentical)
 {
-    // A mid-run crash exercises crash_node's settle/cancel path in
-    // both modes; survivors must then finish identically.
-    auto traced = [](EngineMode mode) {
-        Simulation sim(ClusterSpec::private8(), SimOptions{mode});
-        LaunchOptions opts;
-        opts.nodes = {0, 1, 2, 3, 4, 5};
-        opts.procs_per_node = 2;
-        opts.rng = Rng(1234);
-        const auto app = launch(sim, find_app("S.PR"), opts);
-        sim.schedule(0.4, [&sim] { sim.crash_node(2); });
-        std::string trace = trace_to_completion(sim);
-        EXPECT_TRUE(sim.node_crashed(2));
-        EXPECT_EQ(sim.stats().node_crashes, 1u);
-        return trace;
-    };
-    const std::string seed_trace = traced(EngineMode::kSeed);
-    const std::string scaled_trace = traced(EngineMode::kScaled);
-    ASSERT_FALSE(seed_trace.empty());
-    EXPECT_EQ(seed_trace, scaled_trace);
-    expect_matches_golden("scale_crash.trace", seed_trace);
-    expect_matches_golden("scale_crash.trace", scaled_trace);
+    // A mid-run crash exercises crash_node's settle/cancel path;
+    // survivors must then finish exactly as recorded.
+    Simulation sim(ClusterSpec::private8());
+    LaunchOptions opts;
+    opts.nodes = {0, 1, 2, 3, 4, 5};
+    opts.procs_per_node = 2;
+    opts.rng = Rng(1234);
+    const auto app = launch(sim, find_app("S.PR"), opts);
+    sim.schedule(0.4, [&sim] { sim.crash_node(2); });
+    const std::string trace = trace_to_completion(sim);
+    EXPECT_TRUE(sim.node_crashed(2));
+    EXPECT_EQ(sim.stats().node_crashes, 1u);
+    expect_matches_golden("scale_crash.trace", trace);
 }
 
 TEST(ScaleProperty, FullRefreshIsNoOpAfterIncrementalHistory)
@@ -306,23 +291,18 @@ TEST(ScaleProperty, ResolveBatchesNest)
     EXPECT_EQ(sim.tenant_slowdown(b), oracle.tenant_slowdown(ob));
 }
 
-namespace {
-
-/**
- * A seeded 1000-node churn run, tier-1 sized (~35k events): every
- * tenant runs 5 compute segments with 30% demand churn. Checks that
- * no work unit is lost and every node's pressure total (sum of live
- * tenant demands) matches the driver's books, and returns the run's
- * final fingerprint: events executed, now() and the sum of tenant
- * slowdowns as hexfloat, contention solves and proc reschedules.
- */
-std::string
-churn_fingerprint(EngineMode mode)
+TEST(ScaleSmoke, ThousandNodeChurnRunConservesWorkAndPressure)
 {
+    // A seeded 1000-node churn run, tier-1 sized (~35k events): every
+    // tenant runs 5 compute segments with 30% demand churn. At the
+    // end no work unit may be lost, every node's pressure total (sum
+    // of live tenant demands) must match the driver's books, and the
+    // run's final fingerprint must equal the recorded one — this is
+    // the golden that covers set_demand-driven re-solves.
     constexpr int kNodes = 1000;
     constexpr int kTenantsPerNode = 7;
     constexpr int kSegments = 5;
-    Simulation sim(ClusterSpec::scaled(kNodes), SimOptions{mode});
+    Simulation sim(ClusterSpec::scaled(kNodes));
 
     struct Tenant {
         TenantId id;
@@ -406,17 +386,5 @@ churn_fingerprint(EngineMode mode)
     os << std::hexfloat << sim.events_executed() << ' ' << sim.now()
        << ' ' << sim.stats().contention_solves << ' '
        << sim.stats().proc_reschedules << ' ' << slowdown_sum << '\n';
-    return os.str();
-}
-
-} // namespace
-
-TEST(ScaleSmoke, ThousandNodeChurnRunConservesWorkAndPressure)
-{
-    const std::string seed_print = churn_fingerprint(EngineMode::kSeed);
-    const std::string scaled_print =
-        churn_fingerprint(EngineMode::kScaled);
-    EXPECT_EQ(seed_print, scaled_print);
-    expect_matches_golden("scale_churn.fingerprint", seed_print);
-    expect_matches_golden("scale_churn.fingerprint", scaled_print);
+    expect_matches_golden("scale_churn.fingerprint", os.str());
 }

@@ -6,8 +6,8 @@
  * sampling (seeded, deterministic, correctly skewed), token-bucket
  * request shedding (conservation: every arrival is either served or
  * dropped; admission bounded by burst + rate * window), tail-latency
- * monotonicity under added contention, byte-identical request streams
- * across kSeed/kScaled engine modes, and (FaultServe.*, picked up by
+ * monotonicity under added contention, request streams that are a
+ * pure function of the launch, and (FaultServe.*, picked up by
  * the chaos and TSan CI jobs) byte-identical trace replays with
  * service apps in the mix across RunService thread counts while
  * sched.admit/sched.evict/run.exec faults are armed.
@@ -88,11 +88,10 @@ struct ServeOutcome {
 
 /** Run @p spec to completion on fresh a simulation. */
 ServeOutcome
-run_service_app(const AppSpec& spec, sim::EngineMode mode,
-                double bubble_pressure = 0.0, std::uint64_t seed = 5)
+run_service_app(const AppSpec& spec, double bubble_pressure = 0.0,
+                std::uint64_t seed = 5)
 {
-    sim::Simulation sim(sim::ClusterSpec::private8(),
-                        sim::SimOptions{mode});
+    sim::Simulation sim(sim::ClusterSpec::private8());
     const std::vector<sim::NodeId> nodes{0, 1};
     if (bubble_pressure > 0.0) {
         for (sim::NodeId n : nodes)
@@ -166,8 +165,7 @@ TEST(ServiceZipf, SampleIsAPureFunctionOfU)
 
 TEST(ServiceApp, EveryArrivalIsServedOrDropped)
 {
-    const ServeOutcome out =
-        run_service_app(tiny_service(), sim::EngineMode::kScaled);
+    const ServeOutcome out = run_service_app(tiny_service());
     EXPECT_GT(out.arrived, 500u);
     EXPECT_EQ(out.arrived, out.served + out.dropped);
     EXPECT_GT(out.served, 0u);
@@ -181,8 +179,7 @@ TEST(ServiceApp, TokenBucketShedsOverRateLoadAndConservesTokens)
     AppSpec spec = tiny_service();
     spec.serve.bucket_rate = 2.0;
     spec.serve.bucket_burst = 3.0;
-    const ServeOutcome out =
-        run_service_app(spec, sim::EngineMode::kScaled);
+    const ServeOutcome out = run_service_app(spec);
     EXPECT_GT(out.dropped, 0u);
     EXPECT_EQ(out.arrived, out.served + out.dropped);
     // Token conservation: no VM can admit more than its initial burst
@@ -198,11 +195,9 @@ TEST(ServiceApp, ContentionRaisesTailLatency)
 {
     AppSpec spec = find_app("V.srch");
     spec.serve.duration = 8.0;
-    const ServeOutcome quiet =
-        run_service_app(spec, sim::EngineMode::kScaled);
+    const ServeOutcome quiet = run_service_app(spec);
     const ServeOutcome loaded =
-        run_service_app(spec, sim::EngineMode::kScaled,
-                        /*bubble_pressure=*/5.0);
+        run_service_app(spec, /*bubble_pressure=*/5.0);
     // Same seed, same request stream: the only difference is the
     // co-located bubble, which slows every compute and lets queues
     // build — tail first.
@@ -229,33 +224,13 @@ TEST(ServiceApp, RunnerReportsTailLatencyAsTheMetric)
 
 // --- Determinism -------------------------------------------------------
 
-TEST(ServiceApp, SeedAndScaledEnginesAgreeByteForByte)
-{
-    const AppSpec spec = tiny_service();
-    const ServeOutcome seed =
-        run_service_app(spec, sim::EngineMode::kSeed);
-    const ServeOutcome scaled =
-        run_service_app(spec, sim::EngineMode::kScaled);
-    EXPECT_EQ(seed.arrived, scaled.arrived);
-    EXPECT_EQ(seed.served, scaled.served);
-    EXPECT_EQ(seed.dropped, scaled.dropped);
-    EXPECT_EQ(seed.digest, scaled.digest);
-    EXPECT_EQ(seed.p50, scaled.p50);
-    EXPECT_EQ(seed.p95, scaled.p95);
-    EXPECT_EQ(seed.p99, scaled.p99);
-    EXPECT_EQ(seed.finish, scaled.finish);
-}
-
 TEST(ServiceApp, RequestStreamIsAPureFunctionOfTheLaunch)
 {
     const AppSpec spec = tiny_service();
-    const ServeOutcome a =
-        run_service_app(spec, sim::EngineMode::kScaled, 0.0, 11);
-    const ServeOutcome b =
-        run_service_app(spec, sim::EngineMode::kScaled, 0.0, 11);
+    const ServeOutcome a = run_service_app(spec, 0.0, 11);
+    const ServeOutcome b = run_service_app(spec, 0.0, 11);
     EXPECT_EQ(a.digest, b.digest);
-    const ServeOutcome c =
-        run_service_app(spec, sim::EngineMode::kScaled, 0.0, 12);
+    const ServeOutcome c = run_service_app(spec, 0.0, 12);
     EXPECT_NE(a.digest, c.digest);
 }
 
