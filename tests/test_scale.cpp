@@ -29,14 +29,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
 #include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "golden.hpp"
 #include "sim/engine.hpp"
 #include "workload/app.hpp"
 #include "workload/catalog.hpp"
@@ -45,6 +44,7 @@
 using namespace imc;
 using namespace imc::sim;
 using namespace imc::workload;
+using imc::testing_golden::expect_matches_golden;
 
 namespace {
 
@@ -66,31 +66,6 @@ trace_to_completion(Simulation& sim)
            << ' ' << s.proc_reschedules << ' ' << s.computes << '\n';
     }
     return os.str();
-}
-
-/**
- * Compare @p actual against the recorded golden file @p name in
- * IMC_SCALE_GOLDEN_DIR. On a mismatch the actual output is written
- * next to the test's working directory and its path printed, so a
- * deliberate change can be reviewed with diff and copied over the
- * recorded file.
- */
-void
-expect_matches_golden(const std::string& name,
-                      const std::string& actual)
-{
-    const std::string golden_path =
-        std::string(IMC_SCALE_GOLDEN_DIR) + "/" + name;
-    std::ifstream in(golden_path, std::ios::binary);
-    std::ostringstream want;
-    want << in.rdbuf();
-    if (in && want.str() == actual)
-        return;
-    const auto dump = std::filesystem::absolute(name + ".got");
-    std::ofstream(dump, std::ios::binary) << actual;
-    ADD_FAILURE() << "output differs from recorded " << golden_path
-                  << "\nactual output written to " << dump.string()
-                  << "\ndiff " << golden_path << ' ' << dump.string();
 }
 
 TenantDemand
