@@ -50,11 +50,8 @@ main(int argc, char** argv)
         ProfileOptions popts;
         popts.hosts = cfg.cluster.num_nodes;
         popts.row_tasks = service->threads();
-        CountingMeasure measure(
-            make_cluster_measure(app, nodes, cfg, popts.grid,
-                                 *service),
-            make_cluster_prefetch(app, nodes, cfg, popts.grid,
-                                  *service));
+        CountingMeasure measure =
+            make_cluster_measure(app, nodes, cfg, popts.grid, *service);
         const auto profile = profile_exhaustive(measure, popts);
 
         const auto hetero =

@@ -40,7 +40,7 @@ main(int argc, char** argv)
     for (const auto& app : apps) {
         const auto outcomes =
             benchutil::profiling_campaign(app, cfg, epsilon,
-                                          service.get());
+                                          *service);
         table.add_row({app.abbrev,
                        fmt_fixed(outcomes[0].error_pct, 2),
                        fmt_fixed(outcomes[1].error_pct, 2),

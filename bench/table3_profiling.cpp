@@ -50,7 +50,7 @@ main(int argc, char** argv)
     for (const auto& app : apps) {
         const auto outcomes =
             benchutil::profiling_campaign(app, cfg, epsilon,
-                                          service.get());
+                                          *service);
         for (const auto& outcome : outcomes) {
             cost[outcome.algorithm].add(outcome.cost_pct);
             error[outcome.algorithm].add(outcome.error_pct);

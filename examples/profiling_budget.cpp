@@ -44,11 +44,8 @@ main(int argc, char** argv)
     workload::RunService service(cli.get_int("threads", 0));
     popts.row_tasks = service.threads();
     const auto fresh_measure = [&] {
-        return CountingMeasure(
-            make_cluster_measure(app, nodes, cfg, popts.grid,
-                                 service),
-            make_cluster_prefetch(app, nodes, cfg, popts.grid,
-                                  service));
+        return make_cluster_measure(app, nodes, cfg, popts.grid,
+                                    service);
     };
 
     std::cout << "Profiling " << app.abbrev << " on "

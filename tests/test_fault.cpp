@@ -501,11 +501,8 @@ TEST(FaultProfiler, DegradedCellsFilledFiniteAndThreadInvariant)
             sopts.threads = threads;
             sopts.max_attempts = 1;
             RunService service(sopts);
-            CountingMeasure measure(
-                make_cluster_measure(app, nodes, cfg, popts.grid,
-                                     service),
-                make_cluster_prefetch(app, nodes, cfg, popts.grid,
-                                      service));
+            CountingMeasure measure = make_cluster_measure(
+                app, nodes, cfg, popts.grid, service);
             const auto got =
                 run_profiler(algorithm, measure, popts, seed);
             SCOPED_TRACE(to_string(algorithm) + " threads=" +
@@ -530,8 +527,9 @@ TEST(FaultProfiler, NoScheduleMeansNoDegradedCells)
     const auto nodes = first_nodes(4);
     ProfileOptions popts;
     popts.hosts = 4;
-    CountingMeasure measure(
-        make_cluster_measure(app, nodes, cfg, popts.grid));
+    RunService service(1);
+    CountingMeasure measure =
+        make_cluster_measure(app, nodes, cfg, popts.grid, service);
     const auto got = run_profiler(ProfileAlgorithm::BinaryBrute,
                                   measure, popts, cfg.seed);
     EXPECT_EQ(got.degraded_cells, 0);
@@ -570,7 +568,8 @@ TEST(FaultRegistry, GarbageCacheEntryQuarantinedAndRebuilt)
             .string();
     std::filesystem::remove_all(opts.model_cache_dir);
 
-    ModelRegistry first(cfg, opts);
+    RunService service(1);
+    ModelRegistry first(cfg, opts, &service);
     const auto& built = first.model(find_app("M.zeus"), 4);
     EXPECT_EQ(first.quarantined_count(), 0u);
 
@@ -580,7 +579,7 @@ TEST(FaultRegistry, GarbageCacheEntryQuarantinedAndRebuilt)
         std::filesystem::resize_file(entry.path(), 0);
     }
 
-    ModelRegistry second(cfg, opts);
+    ModelRegistry second(cfg, opts, &service);
     const auto& rebuilt = second.model(find_app("M.zeus"), 4);
     EXPECT_EQ(second.quarantined_count(), 1u);
     EXPECT_FALSE(rebuilt.from_disk_cache);
@@ -594,7 +593,7 @@ TEST(FaultRegistry, GarbageCacheEntryQuarantinedAndRebuilt)
     EXPECT_EQ(entries_containing(opts.model_cache_dir, ".tmp."), 0);
 
     // The quarantined entry does not shadow the fresh one.
-    ModelRegistry third(cfg, opts);
+    ModelRegistry third(cfg, opts, &service);
     EXPECT_TRUE(third.model(find_app("M.zeus"), 4).from_disk_cache);
     EXPECT_EQ(third.quarantined_count(), 0u);
 
@@ -612,13 +611,14 @@ TEST(FaultRegistry, InjectedCorruptionQuarantinesAndRebuilds)
             .string();
     std::filesystem::remove_all(opts.model_cache_dir);
 
-    ModelRegistry first(cfg, opts);
+    RunService service(1);
+    ModelRegistry first(cfg, opts, &service);
     const auto& built = first.model(find_app("M.zeus"), 4);
 
     // The probe is keyed by the entry's *filename*, so "*" keeps this
     // independent of the temp-dir layout.
     const ArmGuard guard(1, "registry.cache.load:corrupt:1");
-    ModelRegistry second(cfg, opts);
+    ModelRegistry second(cfg, opts, &service);
     const auto& rebuilt = second.model(find_app("M.zeus"), 4);
     EXPECT_EQ(second.quarantined_count(), 1u);
     EXPECT_FALSE(rebuilt.from_disk_cache);
@@ -678,11 +678,12 @@ namespace {
 ModelRegistry&
 recovery_registry()
 {
+    static RunService service(1);
     static ModelRegistry registry(fast_cfg(), [] {
         ModelBuildOptions opts;
         opts.policy_samples = 6;
         return opts;
-    }());
+    }(), &service);
     return registry;
 }
 
@@ -986,7 +987,7 @@ campaign_under(const workload::AppSpec& app, int threads)
     opts.threads = threads;
     RunService service(opts);
     return benchutil::profiling_campaign(app, fast_cfg(), 0.05,
-                                         &service);
+                                         service);
 }
 
 void
