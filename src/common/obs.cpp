@@ -2,8 +2,6 @@
 
 #ifndef IMC_OBS_DISABLED
 
-#include <algorithm>
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -18,6 +16,7 @@
 
 #include "common/cli.hpp"
 #include "common/error.hpp"
+#include "common/stats.hpp"
 
 namespace imc::obs {
 
@@ -30,16 +29,6 @@ namespace {
 // of the *same* name never serialize on the value itself.
 
 std::atomic<bool> g_enabled{false};
-
-struct Histogram {
-    std::uint64_t count = 0;
-    double sum = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-    /** buckets[i] counts samples with magnitude in [2^(i-1), 2^i);
-     *  bucket 0 holds samples < 1. */
-    std::array<std::uint64_t, 64> buckets{};
-};
 
 struct TraceEvent {
     std::string name;
@@ -58,7 +47,7 @@ struct Registry {
     std::map<std::string, std::unique_ptr<std::atomic<std::uint64_t>>>
         counters;
     std::map<std::string, double> gauges;
-    std::map<std::string, Histogram> histograms;
+    std::map<std::string, LatencyRecorder> histograms;
     std::vector<TraceEvent> events;
     std::uint64_t dropped_events = 0;
     std::map<std::thread::id, int> thread_ids;
@@ -107,16 +96,6 @@ push_event(TraceEvent event)
     }
     event.tid = tid_of_this_thread(r);
     r.events.push_back(std::move(event));
-}
-
-std::size_t
-bucket_of(double value)
-{
-    if (!(value >= 1.0))
-        return 0;
-    const int exp = std::ilogb(value);
-    return std::min<std::size_t>(static_cast<std::size_t>(exp) + 1,
-                                 63);
 }
 
 /** Minimal JSON string escaping (names are plain ASCII in practice). */
@@ -227,23 +206,15 @@ observe(const std::string& name, double value)
 {
     if (!enabled())
         return;
-    if (!std::isfinite(value)) {
-        count("obs.nonfinite_samples");
+    // LatencyRecorder takes finite samples >= 0 only; anything else
+    // is counted here, before an entry for the name exists.
+    if (!std::isfinite(value) || value < 0.0) {
+        count("obs.rejected_samples");
         return;
     }
     Registry& r = registry();
     const std::lock_guard<std::mutex> lock(r.mutex);
-    Histogram& h = r.histograms[name];
-    if (h.count == 0) {
-        h.min = value;
-        h.max = value;
-    } else {
-        h.min = std::min(h.min, value);
-        h.max = std::max(h.max, value);
-    }
-    ++h.count;
-    h.sum += value;
-    ++h.buckets[bucket_of(std::fabs(value))];
+    r.histograms[name].add(value);
 }
 
 void
@@ -310,8 +281,8 @@ histogram_snapshot(const std::string& name)
     const auto it = r.histograms.find(name);
     if (it == r.histograms.end())
         return {};
-    return HistogramSnapshot{it->second.count, it->second.sum,
-                             it->second.min, it->second.max};
+    const LatencyRecorder& h = it->second;
+    return HistogramSnapshot{h.count(), h.sum(), h.min(), h.max()};
 }
 
 std::size_t
@@ -339,14 +310,13 @@ write_metrics_text(std::ostream& os)
     for (const auto& [name, value] : r.gauges)
         os << "gauge " << name << ' ' << json_number(value) << '\n';
     for (const auto& [name, h] : r.histograms) {
-        os << "hist " << name << " count " << h.count << " sum "
-           << json_number(h.sum) << " min " << json_number(h.min)
-           << " max " << json_number(h.max) << " mean "
-           << json_number(h.count > 0
-                              ? h.sum /
-                                    static_cast<double>(h.count)
-                              : 0.0)
-           << '\n';
+        os << "hist " << name << " count " << h.count() << " sum "
+           << json_number(h.sum()) << " min " << json_number(h.min())
+           << " max " << json_number(h.max()) << " mean "
+           << json_number(h.mean()) << " p50 "
+           << json_number(h.quantile(50.0)) << " p90 "
+           << json_number(h.quantile(90.0)) << " p99 "
+           << json_number(h.quantile(99.0)) << '\n';
     }
 }
 
@@ -373,21 +343,13 @@ write_metrics_json(std::ostream& os)
     first = true;
     for (const auto& [name, h] : r.histograms) {
         os << (first ? "" : ",") << "\n    \"" << json_escape(name)
-           << "\": {\"count\": " << h.count
-           << ", \"sum\": " << json_number(h.sum)
-           << ", \"min\": " << json_number(h.min)
-           << ", \"max\": " << json_number(h.max) << ", \"buckets\": [";
-        bool first_bucket = true;
-        for (std::size_t i = 0; i < h.buckets.size(); ++i) {
-            if (h.buckets[i] == 0)
-                continue;
-            const double le =
-                i == 0 ? 1.0 : std::ldexp(1.0, static_cast<int>(i));
-            os << (first_bucket ? "" : ", ") << "["
-               << json_number(le) << ", " << h.buckets[i] << "]";
-            first_bucket = false;
-        }
-        os << "]}";
+           << "\": {\"count\": " << h.count()
+           << ", \"sum\": " << json_number(h.sum())
+           << ", \"min\": " << json_number(h.min())
+           << ", \"max\": " << json_number(h.max())
+           << ", \"p50\": " << json_number(h.quantile(50.0))
+           << ", \"p90\": " << json_number(h.quantile(90.0))
+           << ", \"p99\": " << json_number(h.quantile(99.0)) << "}";
         first = false;
     }
     os << "\n  }\n}\n";

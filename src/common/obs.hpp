@@ -122,7 +122,7 @@ inline constexpr const char* kObsNames[] = {
     "sim.proc_reschedules",
     "sim.runs",
     // the obs layer's own health counter (recorded by obs.cpp)
-    "obs.nonfinite_samples",
+    "obs.rejected_samples",
 };
 
 #ifndef IMC_OBS_DISABLED
@@ -143,9 +143,11 @@ void gauge_set(const std::string& name, double value);
 void gauge_max(const std::string& name, double value);
 
 /**
- * Record one sample into the named histogram (count/sum/min/max plus
- * power-of-two magnitude buckets). Non-finite samples are counted in
- * the "obs.nonfinite_samples" counter instead of poisoning the sums.
+ * Record one sample into the named histogram, an imc::LatencyRecorder
+ * (exact count/sum/min/max plus 2^(1/8)-wide log buckets, so the dumps
+ * export p50/p90/p99 within one bucket of the exact order statistic).
+ * Non-finite and negative samples are counted in the
+ * "obs.rejected_samples" counter instead, and create no histogram.
  */
 void observe(const std::string& name, double value);
 

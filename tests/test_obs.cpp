@@ -249,11 +249,22 @@ TEST_F(ObsTest, NonFiniteSamplesQuarantined)
 {
     obs::observe("t.hist", std::numeric_limits<double>::quiet_NaN());
     obs::observe("t.hist", std::numeric_limits<double>::infinity());
+    obs::observe("t.hist", -1.0);
     obs::observe("t.hist", 1.0);
     const auto snap = obs::histogram_snapshot("t.hist");
     EXPECT_EQ(snap.count, 1u);
     EXPECT_DOUBLE_EQ(snap.sum, 1.0);
-    EXPECT_EQ(obs::counter_value("obs.nonfinite_samples"), 2u);
+    EXPECT_EQ(obs::counter_value("obs.rejected_samples"), 3u);
+
+    // A name that only ever saw rejected samples has no histogram, so
+    // the dumps (which report quantiles) never meet an empty one.
+    obs::observe("t.rejected_only", -1.0);
+    std::ostringstream text;
+    obs::write_metrics_text(text);
+    EXPECT_EQ(text.str().find("t.rejected_only"), std::string::npos);
+    std::ostringstream json;
+    obs::write_metrics_json(json);
+    EXPECT_EQ(json.str().find("t.rejected_only"), std::string::npos);
 }
 
 // The TSan CI job runs this: concurrent writers to the same counter
@@ -363,6 +374,9 @@ TEST_F(ObsTest, MetricsJsonIsValid)
     std::ostringstream out;
     obs::write_metrics_json(out);
     EXPECT_TRUE(JsonValidator(out.str()).valid()) << out.str();
+    EXPECT_NE(out.str().find("\"p50\": 3, \"p90\": 3, \"p99\": 3}"),
+              std::string::npos)
+        << out.str();
 }
 
 TEST_F(ObsTest, MetricsTextSortedAndTyped)
@@ -380,7 +394,10 @@ TEST_F(ObsTest, MetricsTextSortedAndTyped)
     ASSERT_NE(b, std::string::npos) << text;
     EXPECT_LT(a, b); // sorted by name
     EXPECT_NE(text.find("gauge t.gauge 2"), std::string::npos);
-    EXPECT_NE(text.find("hist t.hist count 1"), std::string::npos);
+    EXPECT_NE(text.find("hist t.hist count 1 sum 4 min 4 max 4 mean 4 "
+                        "p50 4 p90 4 p99 4\n"),
+              std::string::npos)
+        << text;
 }
 
 TEST_F(ObsTest, DisabledRecordsNothing)
